@@ -24,9 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
-
-	"vitdyn/internal/engine"
 )
 
 // Entry is one durable cost record: which substrate priced the shape,
@@ -121,46 +118,4 @@ type entryKey struct {
 	backend string
 	epoch   uint64
 	sig     uint64
-}
-
-// memCache is the fallback fast tier a Persistent opened with a nil
-// inner cache uses: an unbounded map with the CostCache once-per-key
-// contract (racing callers of a cold key block on the first compute and
-// share its result). It exists so costdb is usable standalone, without
-// importing the serving layer's LRU store.
-type memCache struct {
-	mu sync.Mutex
-	m  map[entryKey]*memEntry
-}
-
-type memEntry struct {
-	once sync.Once
-	vals []float64
-	err  error
-}
-
-var _ engine.CostCache = (*memCache)(nil)
-
-func newMemCache() *memCache { return &memCache{m: map[entryKey]*memEntry{}} }
-
-func (c *memCache) GetOrComputeVector(backend string, epoch, sig uint64, compute func() ([]float64, error)) ([]float64, error) {
-	k := entryKey{backend: backend, epoch: epoch, sig: sig}
-	c.mu.Lock()
-	ent, ok := c.m[k]
-	if !ok {
-		ent = &memEntry{}
-		c.m[k] = ent
-	}
-	c.mu.Unlock()
-	ent.once.Do(func() { ent.vals, ent.err = compute() })
-	if ent.err != nil {
-		// Drop failed entries so the next lookup retries, mirroring the
-		// serving store: errors are returned, never cached.
-		c.mu.Lock()
-		if cur, ok := c.m[k]; ok && cur == ent {
-			delete(c.m, k)
-		}
-		c.mu.Unlock()
-	}
-	return ent.vals, ent.err
 }

@@ -101,11 +101,11 @@ var _ engine.CostCache = (*Persistent)(nil)
 // rejects the store rather than serving a partial load — then the WAL is
 // replayed on top, truncating a torn tail. Every loaded entry pre-warms
 // inner, so a warm boot's first requests are fast-tier hits. A nil inner
-// selects a built-in unbounded map cache, making costdb usable without
-// the serving layer.
+// selects a fresh engine.Store of engine.DefaultStoreCapacity, making
+// costdb usable without the serving layer.
 func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error) {
 	if inner == nil {
-		inner = newMemCache()
+		inner = engine.NewStore(0)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("costdb: creating store directory: %w", err)
@@ -164,10 +164,7 @@ func Open(dir string, inner engine.CostCache, opts Options) (*Persistent, error)
 	// all inner-cache hits (the inserts register as one miss each in an
 	// accounting store — boot cost, visible once).
 	for k, vals := range p.entries {
-		vals := vals
-		if _, err := inner.GetOrComputeVector(k.backend, k.epoch, k.sig, func() ([]float64, error) {
-			return vals, nil
-		}); err != nil {
+		if _, err := engine.Seed(inner, k.backend, k.epoch, k.sig, vals); err != nil {
 			p.wal.Close()
 			return nil, fmt.Errorf("costdb: pre-warming inner cache: %w", err)
 		}
@@ -448,10 +445,7 @@ func (p *Persistent) Import(r io.Reader) (total, added int, err error) {
 			continue
 		}
 		added++
-		vals := e.Vals
-		if _, werr := p.inner.GetOrComputeVector(e.Backend, e.Epoch, e.Sig, func() ([]float64, error) {
-			return vals, nil
-		}); werr != nil {
+		if _, werr := engine.Seed(p.inner, e.Backend, e.Epoch, e.Sig, e.Vals); werr != nil {
 			return total, added, werr
 		}
 	}

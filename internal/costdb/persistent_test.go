@@ -352,7 +352,7 @@ func TestPersistentDiskHitAfterInnerMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fresh inner each open; look the entry up twice — first goes to the
-	// pre-warmed inner, then drop to a cold memCache via a fresh open to
+	// pre-warmed inner, then drop to a cold default store via a fresh open to
 	// exercise the disk-hit path explicitly.
 	p2, err := Open(dir, nil, Options{})
 	if err != nil {

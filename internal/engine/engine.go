@@ -11,11 +11,12 @@
 // latency model, an accelerator simulation, a cloud billing table — can
 // drive a sweep.
 //
-// Memoization has two tiers. Every engine owns a private in-process cache
-// keyed by graph signature; in addition a CostCache (canonically
-// serve.Store) can be injected with NewWithCache — or installed
-// process-wide with SetDefaultCache — so many engines across many
-// requests share one eviction-managed cost store.
+// Every engine prices graphs through a CostCache. By default it owns a
+// fresh Store (the sharded LRU of store.go); NewWithCache injects a
+// shared one — canonically the serving layer's store, or a costdb
+// durable tier over it — and SetDefaultCache installs one process-wide,
+// so many engines across many requests share one eviction-managed cost
+// store.
 package engine
 
 import (
@@ -56,17 +57,29 @@ type MultiCostBackend interface {
 	CostVector(g *graph.Graph) ([]float64, error)
 }
 
-// CostCache is an externally owned memoization layer shared across
-// engines (and, through the serving layer, across requests). Keys are
-// (backend name, backend epoch, graph signature); values are full
-// metric vectors, so single- and multi-metric backends share one entry
-// per shape. The epoch (see BackendEpoch) partitions entries by
-// cost-model version: a backend upgrade flips it, so stale costs miss
-// instead of being served. Implementations must be safe for concurrent
+// CostCache is the memoization layer an engine prices through — a Store
+// by default, shared across engines (and, through the serving layer,
+// across requests) when injected; costdb.Persistent layers a durable
+// tier over one. Keys are (backend name, backend epoch, graph
+// signature); values are full metric vectors, so single- and
+// multi-metric backends share one entry per shape. The epoch (see
+// BackendEpoch) partitions entries by cost-model version: a backend
+// upgrade flips it, so stale costs miss instead of being served. Implementations must be safe for concurrent
 // use and must invoke compute at most once per key while it stays
 // resident.
 type CostCache interface {
 	GetOrComputeVector(backend string, epoch, sig uint64, compute func() ([]float64, error)) ([]float64, error)
+}
+
+// Seed makes vals the cached cost vector for (backend, epoch, sig)
+// unless c already holds one, reporting whether vals went in — the
+// insert path of warm boots, snapshot imports and gossip merges.
+func Seed(c CostCache, backend string, epoch, sig uint64, vals []float64) (added bool, err error) {
+	_, err = c.GetOrComputeVector(backend, epoch, sig, func() ([]float64, error) {
+		added = true
+		return vals, nil
+	})
+	return added, err
 }
 
 // defaultCache is the process-wide cache installed by SetDefaultCache,
@@ -130,20 +143,7 @@ type Engine struct {
 	backend CostBackend
 	workers int
 	epoch   uint64    // backend epoch stamped at construction (see BackendEpoch)
-	ext     CostCache // nil = private in-process cache only
-
-	mu    sync.Mutex
-	cache map[uint64]*cacheEntry
-}
-
-// cacheEntry memoizes one graph signature's cost vector. The entry is
-// published under the engine mutex; the once guarantees the backend is
-// invoked at most once per signature even when many workers race on the
-// same graph.
-type cacheEntry struct {
-	once sync.Once
-	vals []float64
-	err  error
+	costs   CostCache // never nil
 }
 
 // New returns an engine over the backend. workers <= 0 selects
@@ -155,10 +155,10 @@ func New(backend CostBackend, workers int) *Engine {
 }
 
 // NewWithCache returns an engine whose costs are memoized in the given
-// external cache (keyed by backend name and graph signature) instead of
-// a private map, so repeated or overlapping sweeps across many engines —
-// e.g. concurrent server requests — share one store. A nil cache falls
-// back to the private per-engine map.
+// cache (keyed by backend name, epoch and graph signature), so repeated
+// or overlapping sweeps across many engines — e.g. concurrent server
+// requests — share one store. A nil cache gives the engine a fresh
+// Store of DefaultStoreCapacity.
 func NewWithCache(backend CostBackend, workers int, cache CostCache) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -168,12 +168,14 @@ func NewWithCache(backend CostBackend, workers int, cache CostCache) *Engine {
 		// of a nil-interface panic inside a worker goroutine.
 		backend = nilBackend{}
 	}
+	if cache == nil {
+		cache = NewStore(0)
+	}
 	return &Engine{
 		backend: backend,
 		workers: workers,
 		epoch:   BackendEpoch(backend),
-		ext:     cache,
-		cache:   make(map[uint64]*cacheEntry),
+		costs:   cache,
 	}
 }
 
@@ -193,17 +195,17 @@ func (e *Engine) Backend() CostBackend { return e.backend }
 func (e *Engine) Workers() int { return e.workers }
 
 // Epoch returns the backend epoch the engine stamped at construction —
-// the fingerprint partitioning its external-cache entries.
+// the fingerprint partitioning its cost-cache entries.
 func (e *Engine) Epoch() uint64 { return e.epoch }
 
-// CachedCosts returns how many distinct graph signatures the engine's
-// private cache holds (for tests and instrumentation). With an external
-// CostCache the private map is bypassed and this stays 0 — the store's
-// own stats are authoritative there.
+// CachedCosts returns how many cost vectors the engine's cache holds
+// when it is a Store (the default), for tests and instrumentation; 0 for
+// any other CostCache, whose own stats are authoritative there.
 func (e *Engine) CachedCosts() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
+	if st, ok := e.costs.(*Store); ok {
+		return st.Len()
+	}
+	return 0
 }
 
 // compute prices g on the backend, as a vector: MultiCostBackends run
@@ -229,24 +231,12 @@ func (e *Engine) compute(g *graph.Graph) ([]float64, error) {
 	return []float64{c}, nil
 }
 
-// costVec prices one graph through whichever memo layer the engine owns.
-// The returned slice is shared with the cache and must not be mutated.
+// costVec prices one graph through the engine's cost cache. The
+// returned slice is shared with the cache and must not be mutated.
 func (e *Engine) costVec(g *graph.Graph) ([]float64, error) {
-	sig := g.Signature()
-	if e.ext != nil {
-		return e.ext.GetOrComputeVector(e.backend.Name(), e.epoch, sig, func() ([]float64, error) {
-			return e.compute(g)
-		})
-	}
-	e.mu.Lock()
-	ent, ok := e.cache[sig]
-	if !ok {
-		ent = &cacheEntry{}
-		e.cache[sig] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() { ent.vals, ent.err = e.compute(g) })
-	return ent.vals, ent.err
+	return e.costs.GetOrComputeVector(e.backend.Name(), e.epoch, g.Signature(), func() ([]float64, error) {
+		return e.compute(g)
+	})
 }
 
 // Cost prices one graph through the memo cache. For a MultiCostBackend

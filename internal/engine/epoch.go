@@ -5,7 +5,7 @@ package engine
 // accelerator config silently invalidates every cost it ever produced.
 // An epoch is a fingerprint stamped per backend — mixed from the
 // backend's name, its model-version constant and a process-wide salt —
-// that travels with every cached cost (serve.Store keys, costdb
+// that travels with every cached cost (Store keys, costdb
 // records, the serving layer's catalog cache). When a backend upgrade
 // bumps its version constant, the epoch flips, lookups miss, and stale
 // durable entries are retired at the next compaction instead of being

@@ -312,43 +312,3 @@ func TestStatszCatalogCacheSection(t *testing.T) {
 		t.Error("pools.encode_buffers counters never moved")
 	}
 }
-
-// benchmarkCatalogCacheParallel measures warm lookups under parallel
-// load — the contention profile the shard count exists to flatten.
-func benchmarkCatalogCacheParallel(b *testing.B, shards int) {
-	c := NewCatalogCacheWithShards(256, shards)
-	cat, err := rdd.NewCatalog("bench", []rdd.Path{{Label: "p", Cost: 1, Accuracy: 0.5}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]catalogKey, 64)
-	for i := range keys {
-		keys[i] = catalogKey{family: "bench", dataset: "ADE", variant: "Tiny", step: i, backend: "flops-proxy"}
-		if _, err := c.getOrBuild(keys[i], 1, func() (*rdd.Catalog, error) { return cat, nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, ok := c.lookup(keys[i&63], 1); !ok {
-				b.Error("warm key missed")
-				return
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkCatalogCacheParallel pins the sharding: the sharded variant
-// must beat the single-mutex one under parallel access (compare the
-// sub-benchmarks' ns/op).
-func BenchmarkCatalogCacheParallel(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchmarkCatalogCacheParallel(b, shards)
-		})
-	}
-}

@@ -332,15 +332,11 @@ func (s *Server) mergeGossipEntries(entries []costdb.Entry) (added, stale int, e
 			stale++
 			continue
 		}
-		ran := false
-		vals := e.Vals
-		if _, gerr := cache.GetOrComputeVector(e.Backend, e.Epoch, e.Sig, func() ([]float64, error) {
-			ran = true
-			return vals, nil
-		}); gerr != nil {
+		isNew, gerr := engine.Seed(cache, e.Backend, e.Epoch, e.Sig, e.Vals)
+		if gerr != nil {
 			return added, stale, gerr
 		}
-		if ran {
+		if isNew {
 			added++
 		}
 	}

@@ -104,16 +104,12 @@ func (s *Server) handleStoreImport(w http.ResponseWriter, r *http.Request) {
 		})
 		if err == nil {
 			for _, e := range staged {
-				ran := false
-				vals := e.Vals
-				if _, gerr := s.opts.Store.GetOrComputeVector(e.Backend, e.Epoch, e.Sig, func() ([]float64, error) {
-					ran = true
-					return vals, nil
-				}); gerr != nil {
+				isNew, gerr := engine.Seed(s.opts.Store, e.Backend, e.Epoch, e.Sig, e.Vals)
+				if gerr != nil {
 					err = gerr
 					break
 				}
-				if ran {
+				if isNew {
 					added++
 				}
 			}

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vitdyn/internal/engine"
 	"vitdyn/internal/obs"
+	"vitdyn/internal/rdd"
 )
 
 // replayBody is a small replay request used across the golden tests.
@@ -140,7 +142,7 @@ func TestReplayFormsShareCachedBytes(t *testing.T) {
 // precomputed Content-Length, size caps, and per-shard LRU eviction.
 func TestRespCacheUnit(t *testing.T) {
 	c := NewRespCache(4) // 4 entries → 1 shard, strict global LRU
-	if n := len(c.shards); n != 1 {
+	if n := c.Stats().Shards; n != 1 {
 		t.Fatalf("capacity-4 cache got %d shards, want 1", n)
 	}
 	body := []byte(`{"paths":[]}` + "\n")
@@ -167,7 +169,7 @@ func TestRespCacheUnit(t *testing.T) {
 		t.Error("empty body was cached")
 	}
 	c.put(respCatalog, "", body, nil)
-	if _, ok := c.lookupKeyed(respCatalog, ""); ok {
+	if _, ok := c.lookup(respCatalog, ""); ok {
 		t.Error("empty key was cached")
 	}
 
@@ -258,6 +260,34 @@ func TestBatchEpochSaltInvalidatesCachedBytes(t *testing.T) {
 	rc := srv.RespCache().Stats()
 	if rc.Invalidations != 1 || rc.Hits != 1 {
 		t.Errorf("post-bump accounting: %+v, want 1 invalidation and no new hit", rc)
+	}
+}
+
+// TestUncacheableReplayMovesNoMissCounter: a replay whose inline values
+// trace pushes its cache key past maxRespKeyBytes is uncacheable, so it
+// must move neither the cumulative nor the windowed miss counter (the
+// windowed one used to count it, reading the window hit rate low).
+func TestUncacheableReplayMovesNoMissCounter(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	values := make([]float64, 20000)
+	for i := range values {
+		values[i] = 1e9 + float64(i)
+	}
+	spec := rdd.TraceSpec{Kind: "values", Values: values}
+	req := ReplayRequest{Catalog: CatalogRequest{Family: "ofa", Backend: "flops"}, Trace: &spec}
+	if key := replayCacheKey(req.Catalog, []rdd.TraceSpec{spec}, nil); key != "" {
+		t.Fatalf("cache key of %d bytes accepted; test is vacuous", len(key))
+	}
+	for i := 0; i < 2; i++ {
+		if status, body := postReplay(t, ts.URL, req); status != http.StatusOK {
+			t.Fatalf("replay %d status %d, body %.200s", i, status, body)
+		}
+	}
+	if rc := srv.RespCache().Stats(); rc.Misses != 0 || rc.Hits != 0 {
+		t.Errorf("uncacheable replays moved the response cache counters: %+v", rc)
+	}
+	if n := srv.wRespMisses.Sum(time.Hour); n != 0 {
+		t.Errorf("uncacheable replays counted %d windowed misses, want 0", n)
 	}
 }
 
@@ -365,8 +395,8 @@ func TestRespCacheConcurrentInvalidation(t *testing.T) {
 	engine.SetEpochSalt(0)
 	backend := engine.FLOPs()
 	c := NewRespCache(128)
-	if len(c.shards) < 2 {
-		t.Fatalf("capacity-128 cache got %d shards; concurrency test wants several", len(c.shards))
+	if c.Stats().Shards < 2 {
+		t.Fatalf("capacity-128 cache got %d shards; concurrency test wants several", c.Stats().Shards)
 	}
 	const (
 		workers = 8

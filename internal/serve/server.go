@@ -20,6 +20,7 @@ import (
 	"vitdyn/internal/flops"
 	"vitdyn/internal/gpu"
 	"vitdyn/internal/graph"
+	"vitdyn/internal/lru"
 	"vitdyn/internal/magnet"
 	"vitdyn/internal/nn"
 	"vitdyn/internal/obs"
@@ -377,22 +378,15 @@ func respCacheableQuery(raw string) bool {
 	return !strings.Contains(raw, "debug=") && !strings.Contains(raw, "workers=")
 }
 
-// respLookup probes the response cache and feeds the windowed hit/miss
-// counters alongside the cache's own cumulative ones.
+// respLookup probes the response cache and counts the outcome in both
+// the cache's cumulative counters and the windowed ones. The "" key
+// means uncacheable (batchCacheKey and replayCacheKey decline oversized
+// keys): no probe, and neither counter moves.
 func (s *Server) respLookup(kind respKind, key string) (*respEntry, bool) {
-	ent, ok := s.resp.lookup(kind, key)
-	if ok {
-		s.wRespHits.Inc()
-	} else {
-		s.wRespMisses.Inc()
+	if key == "" {
+		return nil, false
 	}
-	return ent, ok
-}
-
-// respLookupKeyed is respLookup over a derived cache key (the batch
-// and replay POST bodies).
-func (s *Server) respLookupKeyed(kind respKind, key string) (*respEntry, bool) {
-	ent, ok := s.resp.lookupKeyed(kind, key)
+	ent, ok := s.resp.lookup(kind, key)
 	if ok {
 		s.wRespHits.Inc()
 	} else {
@@ -537,11 +531,7 @@ type routeWindowStatz struct {
 // windowRatio folds two windowed counters into a hit rate over the
 // trailing window (0 before any lookup in the window).
 func windowRatio(hits, misses *obs.WindowedCounter, d time.Duration) float64 {
-	h, m := hits.Sum(d), misses.Sum(d)
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
+	return lru.HitRate(hits.Sum(d), misses.Sum(d))
 }
 
 // windowStats renders every configured rolling window, keyed by label
@@ -1185,7 +1175,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var cacheKey string
 	if respCacheableQuery(r.URL.RawQuery) {
 		cacheKey = batchCacheKey(req)
-		if ent, ok := s.respLookupKeyed(respBatch, cacheKey); ok {
+		if ent, ok := s.respLookup(respBatch, cacheKey); ok {
 			writeEntry(w, ent)
 			return
 		}

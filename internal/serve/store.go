@@ -1,303 +1,34 @@
 // Package serve is the request-level serving layer on top of the sweep
-// engine: a process-wide, sharded, LRU-evicting cost store shared by
-// every engine the server creates, and an HTTP daemon exposing catalog
-// construction, profiling and introspection endpoints. It is the piece
-// that amortizes graph costing across many concurrent catalog requests —
-// the same sharing-of-costed-shapes idea the paper's RDD catalogs
-// exploit within one sweep, lifted to the whole process.
+// engine: one cost store (engine.Store) shared by every engine the server
+// creates, a catalog-result cache and a pre-encoded response cache — all
+// three thin keyed wrappers over the generic internal/lru cache — and an
+// HTTP daemon exposing catalog construction, profiling and introspection
+// endpoints. It is the piece that amortizes graph costing across many
+// concurrent catalog requests — the same sharing-of-costed-shapes idea
+// the paper's RDD catalogs exploit within one sweep, lifted to the whole
+// process.
 package serve
 
 import (
-	"container/list"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"vitdyn/internal/engine"
 )
 
-// DefaultStoreCapacity bounds a store created with capacity <= 0: enough
-// for every sweep this repository ships (the largest, a channelStep-64
-// SegFormer sweep, costs ~2k distinct signatures) with room for several
-// backends, while one entry is only a key and a couple of floats.
-const DefaultStoreCapacity = 16384
+// Store is the process-wide (backend, epoch, graph signature) →
+// cost-vector store; see engine.Store.
+type Store = engine.Store
 
-// defaultShards is the shard count for NewStore. 16 keeps lock
-// contention negligible at GOMAXPROCS-scale worker pools without
-// fragmenting tiny capacities.
-const defaultShards = 16
+// StoreStats is a point-in-time view of a Store's counters.
+type StoreStats = engine.StoreStats
 
-// storeKey identifies one cached cost vector: which substrate priced the
-// graph, the substrate's cost-model epoch (see engine.BackendEpoch), and
-// the graph's cost-relevant shape signature. Epoch in the key means a
-// backend upgrade misses cleanly instead of serving stale costs; the old
-// epoch's entries age out of the LRU on their own.
-type storeKey struct {
-	backend string
-	epoch   uint64
-	sig     uint64
-}
+// DefaultStoreCapacity bounds a store created with capacity <= 0.
+const DefaultStoreCapacity = engine.DefaultStoreCapacity
 
-// storeEntry is one resident cost vector. The once guarantees the
-// compute function runs at most once per key even when many requests
-// race on the same cold shape; racers block on Do and read the published
-// vals/err. done is set (with release ordering) after the once
-// completes, so Range can observe finished entries without joining the
-// once — an empty once.Do from an iterator could otherwise win the race
-// and suppress the real compute.
-type storeEntry struct {
-	key  storeKey
-	once sync.Once
-	done atomic.Bool
-	vals []float64
-	err  error
-}
-
-// shard is one independently locked slice of the store: a map for
-// lookup plus an LRU list (front = most recently used) for eviction.
-type shard struct {
-	mu      sync.Mutex
-	entries map[storeKey]*list.Element
-	order   *list.List
-}
-
-// Store is a process-wide, sharded, LRU-evicting (backend name, epoch,
-// graph signature) → cost-vector store with hit/miss/error/eviction
-// accounting. It implements engine.CostCache, so any engine built with
-// engine.NewWithCache shares it — across sweeps, across requests, across
-// backends. A Store is safe for concurrent use.
-type Store struct {
-	shards      []shard
-	capPerShard int
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	errors    atomic.Int64
-	evictions atomic.Int64
-}
-
-var _ engine.CostCache = (*Store)(nil)
-
-// NewStore returns a store holding at most capacity entries — rounded
-// up to a multiple of the shard count; Stats().Capacity reports the
-// effective bound — across a fixed shard set. capacity <= 0 selects
-// DefaultStoreCapacity.
-func NewStore(capacity int) *Store {
-	return NewStoreWithShards(capacity, defaultShards)
-}
-
-// NewStoreWithShards is NewStore with an explicit shard count — a single
-// shard gives globally exact LRU order (used by tests and tiny caches),
-// more shards trade strict global ordering for lower lock contention.
-// Capacity is split evenly across shards (rounded up, so the effective
-// bound is the next multiple of the shard count), at least one entry
-// each.
-func NewStoreWithShards(capacity, shards int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultStoreCapacity
-	}
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	s := &Store{
-		shards:      make([]shard, shards),
-		capPerShard: (capacity + shards - 1) / shards,
-	}
-	for i := range s.shards {
-		s.shards[i] = shard{entries: make(map[storeKey]*list.Element), order: list.New()}
-	}
-	return s
-}
-
-// shardFor picks the shard for a key, folding the backend name and
-// epoch into the graph signature so one hot backend still spreads
-// across shards.
-func (s *Store) shardFor(k storeKey) *shard {
-	const prime64 = 1099511628211
-	h := k.sig
-	for i := 0; i < len(k.backend); i++ {
-		h ^= uint64(k.backend[i])
-		h *= prime64
-	}
-	h ^= k.epoch
-	h *= prime64
-	return &s.shards[h%uint64(len(s.shards))]
-}
-
-// dropFailed removes the entry from its shard if it is still resident
-// and still the same entry — a concurrent eviction plus re-insert of
-// the key must not have its fresh entry removed by a stale failure.
-func (s *Store) dropFailed(sh *shard, k storeKey, ent *storeEntry) {
-	sh.mu.Lock()
-	if cur, ok := sh.entries[k]; ok && cur.Value.(*storeEntry) == ent {
-		sh.order.Remove(cur)
-		delete(sh.entries, k)
-	}
-	sh.mu.Unlock()
-}
-
-// GetOrComputeVector returns the cached cost vector for (backend,
-// epoch, sig), computing and inserting it on a miss. Concurrent callers
-// of a cold key compute once and share the result. Errors are returned
-// but never left cached — whichever caller observes the failure (the
-// inserter or a joiner that won the once) removes the entry, so the
-// next request retries the computation and a transiently misconfigured
-// backend cannot poison the store. The returned slice is shared with
-// the cache and must not be mutated.
-func (s *Store) GetOrComputeVector(backend string, epoch, sig uint64, compute func() ([]float64, error)) ([]float64, error) {
-	k := storeKey{backend: backend, epoch: epoch, sig: sig}
-	sh := s.shardFor(k)
-
-	sh.mu.Lock()
-	el, ok := sh.entries[k]
-	if ok {
-		sh.order.MoveToFront(el)
-		sh.mu.Unlock()
-		ent := el.Value.(*storeEntry)
-		ent.once.Do(func() { ent.vals, ent.err = compute() })
-		ent.done.Store(true)
-		if ent.err != nil {
-			// The joined computation failed. Drop the entry here too: if
-			// the inserter was already evicted, nobody else would, and the
-			// poisoned entry (nil vals + cached error) would otherwise be
-			// served until capacity pressure happened to push it out.
-			s.dropFailed(sh, k, ent)
-			s.errors.Add(1)
-			return nil, ent.err
-		}
-		s.hits.Add(1)
-		return ent.vals, nil
-	}
-	ent := &storeEntry{key: k}
-	sh.entries[k] = sh.order.PushFront(ent)
-	for sh.order.Len() > s.capPerShard {
-		back := sh.order.Back()
-		sh.order.Remove(back)
-		delete(sh.entries, back.Value.(*storeEntry).key)
-		s.evictions.Add(1)
-	}
-	sh.mu.Unlock()
-
-	ent.once.Do(func() { ent.vals, ent.err = compute() })
-	ent.done.Store(true)
-	if ent.err != nil {
-		s.dropFailed(sh, k, ent)
-		s.errors.Add(1)
-		return nil, ent.err
-	}
-	s.misses.Add(1)
-	return ent.vals, nil
-}
-
-// GetOrCompute is the scalar convenience form of GetOrComputeVector: the
-// value is stored as (and shared with) a 1-vector.
-func (s *Store) GetOrCompute(backend string, epoch, sig uint64, compute func() (float64, error)) (float64, error) {
-	vals, err := s.GetOrComputeVector(backend, epoch, sig, func() ([]float64, error) {
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return []float64{v}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
-}
-
-// Range calls fn for every resident entry whose computation has
-// completed successfully, stopping early if fn returns false. Iteration
-// order is unspecified; recency order and counters are untouched; the
-// vals slice is shared with the store and must not be mutated. Entries
-// whose compute is still in flight (or failed) are skipped, so Range
-// never blocks on a slow backend — it sees the store as of "now", which
-// is all its callers (snapshot export) need.
-func (s *Store) Range(fn func(backend string, epoch, sig uint64, vals []float64) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		ents := make([]*storeEntry, 0, len(sh.entries))
-		for _, el := range sh.entries {
-			ents = append(ents, el.Value.(*storeEntry))
-		}
-		sh.mu.Unlock()
-		for _, ent := range ents {
-			if !ent.done.Load() || ent.err != nil || len(ent.vals) == 0 {
-				continue
-			}
-			if !fn(ent.key.backend, ent.key.epoch, ent.key.sig, ent.vals) {
-				return
-			}
-		}
-	}
-}
-
-// Contains reports whether (backend, epoch, sig) is resident, without
-// touching recency order or counters (for tests and diagnostics).
-func (s *Store) Contains(backend string, epoch, sig uint64) bool {
-	k := storeKey{backend: backend, epoch: epoch, sig: sig}
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[k]
-	return ok
-}
-
-// Len returns the number of resident entries.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// StoreStats is a point-in-time accounting snapshot. Hits count lookups
-// served from a resident entry (including ones that joined an in-flight
-// computation); misses count lookups that computed their own entry;
-// errors count lookups — hit- or miss-path — whose computation failed
-// (failures cache nothing, so they are neither hits nor misses);
-// evictions count entries dropped under capacity pressure.
-type StoreStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Errors    int64 `json:"errors"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-// Error outcomes are excluded from both sides: a joined compute that
-// failed is not a "hit" the store can take credit for.
-func (st StoreStats) HitRate() float64 {
-	total := st.Hits + st.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(total)
-}
-
-// Stats returns a snapshot of the store's counters. The counters are
-// read independently, so a snapshot taken under concurrent load is
-// approximate (each counter is individually exact).
-func (s *Store) Stats() StoreStats {
-	return StoreStats{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Errors:    s.errors.Load(),
-		Evictions: s.evictions.Load(),
-		Entries:   s.Len(),
-		Capacity:  s.capPerShard * len(s.shards),
-	}
-}
+// NewStore returns a store holding at most capacity entries;
+// capacity <= 0 selects DefaultStoreCapacity.
+func NewStore(capacity int) *Store { return engine.NewStore(capacity) }
 
 // InstallProcessStore backs the cmd binaries' -cache flag: it installs
 // a fresh store of the given capacity as the process-wide default

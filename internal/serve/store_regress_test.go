@@ -3,7 +3,9 @@ package serve
 // Regression tests for the store's failure accounting: a failed compute
 // must never count as a hit or a miss, must always leave the store clean
 // for a retry, and a stale failure must never knock out a fresh entry
-// that replaced it (the evict-before-compute race).
+// that replaced it (the evict-before-compute race). The hit-path
+// failure case, which needs a white-box staged entry, lives with the
+// cache primitive as internal/lru's TestHitPathFailureCountsAsError.
 
 import (
 	"fmt"
@@ -11,55 +13,13 @@ import (
 	"testing"
 )
 
-// TestStoreHitPathFailureCountsAsError: a lookup that finds a resident
-// entry, wins its once and fails the compute is the hit-path failure —
-// the bug this PR fixes counted it as a hit and left the poisoned entry
-// resident. It must count as an error (not a hit, not a miss), drop the
-// entry and let the next lookup recompute. The resident-but-uncomputed
-// entry is staged white-box: it is exactly the state a concurrent
-// inserter leaves between publishing its entry and running its once.
-func TestStoreHitPathFailureCountsAsError(t *testing.T) {
-	s := NewStoreWithShards(8, 1)
-	boom := fmt.Errorf("backend exploded")
-
-	k := storeKey{backend: "b", epoch: 1, sig: 1}
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	sh.entries[k] = sh.order.PushFront(&storeEntry{key: k})
-	sh.mu.Unlock()
-
-	if _, err := s.GetOrComputeVector("b", 1, 1, func() ([]float64, error) {
-		return nil, boom
-	}); err != boom {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-
-	st := s.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Errors != 1 {
-		t.Errorf("stats %+v; want 0 hits, 0 misses, 1 error", st)
-	}
-	if s.Contains("b", 1, 1) {
-		t.Error("failed entry left resident")
-	}
-	ran := false
-	if _, err := s.GetOrComputeVector("b", 1, 1, func() ([]float64, error) {
-		ran = true
-		return []float64{7}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Error("retry after failure served the poisoned entry instead of recomputing")
-	}
-}
-
 // TestStoreEvictBeforeComputeKeepsFreshEntry: an inserter's entry is
 // evicted while its compute is still in flight, the key is re-inserted
 // fresh by another caller, and only then does the original compute fail.
 // The stale failure must not remove the fresh entry (dropFailed checks
 // identity, not just the key).
 func TestStoreEvictBeforeComputeKeepsFreshEntry(t *testing.T) {
-	s := NewStoreWithShards(1, 1) // capacity 1: any second key evicts the first
+	s := NewStore(1) // capacity 1: any second key evicts the first
 	started := make(chan struct{})
 	release := make(chan struct{})
 	boom := fmt.Errorf("slow compute failed")
@@ -122,7 +82,7 @@ func TestStoreEvictBeforeComputeKeepsFreshEntry(t *testing.T) {
 // entries; the store stays within capacity), the scheduling check is
 // the race detector in `make ci`.
 func TestStoreRangeDuringEviction(t *testing.T) {
-	s := NewStoreWithShards(8, 2)
+	s := NewStore(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

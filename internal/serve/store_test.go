@@ -51,7 +51,7 @@ func TestStoreHitMissAccounting(t *testing.T) {
 
 func TestStoreEvictionOrderLRU(t *testing.T) {
 	// Single shard so global LRU order is exact. Capacity 3.
-	s := NewStoreWithShards(3, 1)
+	s := NewStore(3)
 	var calls atomic.Int64
 	for sig := uint64(1); sig <= 3; sig++ {
 		if _, err := s.GetOrComputeVector("b", 1, sig, constVec(&calls, float64(sig))); err != nil {
@@ -89,7 +89,7 @@ func TestStoreEvictionOrderLRU(t *testing.T) {
 }
 
 func TestStoreEvictedEntryRecomputes(t *testing.T) {
-	s := NewStoreWithShards(1, 1)
+	s := NewStore(1)
 	var calls atomic.Int64
 	if _, err := s.GetOrComputeVector("b", 1, 1, constVec(&calls, 1)); err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestStoreCapacityDefaults(t *testing.T) {
 	}
 	// Tiny capacities collapse the shard count rather than rounding the
 	// per-shard capacity to zero.
-	s := NewStoreWithShards(2, 16)
+	s := NewStore(2)
 	var calls atomic.Int64
 	for sig := uint64(0); sig < 10; sig++ {
 		if _, err := s.GetOrComputeVector("b", 1, sig, constVec(&calls, 0)); err != nil {

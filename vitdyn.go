@@ -311,13 +311,12 @@ type CostStore = serve.Store
 // CostStoreStats is a point-in-time snapshot of a store's counters.
 type CostStoreStats = serve.StoreStats
 
-// NewCostStore returns a store holding at most capacity entries,
-// rounded up to a multiple of the shard count (capacity <= 0 selects
-// the default).
+// NewCostStore returns a store holding at most capacity entries
+// (capacity <= 0 selects the default).
 func NewCostStore(capacity int) *CostStore { return serve.NewStore(capacity) }
 
 // NewSweepEngineWithStore returns an engine whose costs are memoized in
-// the shared store instead of a private per-engine cache.
+// the shared store instead of a store of its own.
 func NewSweepEngineWithStore(backend CostBackend, workers int, store *CostStore) *SweepEngine {
 	return engine.NewWithCache(backend, workers, store)
 }
@@ -350,7 +349,7 @@ type PersistentCostStoreOptions = costdb.Options
 type PersistentCostStoreStats = costdb.Stats
 
 // OpenPersistentCostStore loads (or initializes) a durable cost store
-// in dir over the given fast tier (nil selects a built-in map cache):
+// in dir over the given fast tier (nil selects a fresh CostStore):
 // snapshot read whole and checksum-verified, WAL replayed with a torn
 // tail truncated, every loaded entry pre-warming the fast tier.
 func OpenPersistentCostStore(dir string, inner SweepCostCache, opts PersistentCostStoreOptions) (*PersistentCostStore, error) {
