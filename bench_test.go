@@ -6,8 +6,8 @@ package vitdyn
 //
 //	go test -bench=. -benchmem
 //
-// emits the full reproduction alongside harness timings. EXPERIMENTS.md
-// records the paper-vs-measured comparison for each one.
+// emits the full reproduction alongside harness timings; the claims
+// experiment prints the paper-vs-measured verdict for each one.
 
 import (
 	"fmt"
@@ -201,7 +201,7 @@ func BenchmarkHeadlineClaims(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md Section 5) ---
+// --- Ablation benchmarks (the paper's Section III-C and V design choices) ---
 
 // BenchmarkAblationFLOPsOnlyPredictor quantifies Section III-C: how far a
 // FLOPs-proportional runtime predictor diverges from the calibrated model.

@@ -259,31 +259,31 @@ func replay(w io.Writer, traceKind, traceSpecJSON string, frames, workers, hyste
 	if err != nil {
 		return err
 	}
-	// An infeasible trace (even its peak budget below the cheapest path)
-	// is an explicit error, not a silent all-skipped table.
-	if _, err := cat.SelectStrict(tr.Max()); err != nil {
-		return err
-	}
-
-	dyn := cat.Simulate(tr)
-	stFull := cat.SimulateStatic(cat.Full(), tr)
-	stWorst := cat.SimulateStatic(cat.Cheapest(), tr)
-
-	t := report.NewTable(
-		fmt.Sprintf("RDD replay: SegFormer ADE B2 on accelerator E, %s trace, %d frames", spec.Kind, len(tr)),
-		"Policy", "Completed", "Skipped", "Switches", "MeanAcc", "EffAcc", "FullPath%")
-	add := func(name string, r rdd.SimResult) {
-		t.AddRowf(name, r.Completed, r.Skipped, r.Switches, r.MeanAccuracy, r.EffectiveAccuracy(), 100*r.FullPathShare)
-	}
-	add("dynamic (RDD)", dyn)
+	// One pass replays every policy. An infeasible trace (even its peak
+	// budget below the cheapest path) is an explicit error, not a silent
+	// all-skipped table.
+	names := []string{"dynamic (RDD)"}
+	pols := []rdd.Policy{rdd.DynamicPolicy()}
 	if hysteresis > 0 {
 		// The hysteretic controller only switches after `hysteresis`
 		// consecutive frames prefer a different path — fewer swaps at a
 		// small accuracy cost, for deployments where a path change is
 		// not free.
-		add(fmt.Sprintf("dynamic-hysteresis:%d", hysteresis), cat.SimulateHysteresis(tr, hysteresis))
+		names = append(names, fmt.Sprintf("dynamic-hysteresis:%d", hysteresis))
+		pols = append(pols, rdd.HysteresisPolicy(hysteresis))
 	}
-	add("static full", stFull)
-	add("static worst-case", stWorst)
+	names = append(names, "static full", "static worst-case")
+	pols = append(pols, rdd.StaticPolicy(cat.Full()), rdd.StaticPolicy(cat.Cheapest()))
+	results, err := cat.Replay(tr, pols)
+	if err != nil {
+		return err
+	}
+
+	t := report.NewTable(
+		fmt.Sprintf("RDD replay: SegFormer ADE B2 on accelerator E, %s trace, %d frames", spec.Kind, len(tr)),
+		"Policy", "Completed", "Skipped", "Switches", "MeanAcc", "EffAcc", "FullPath%")
+	for i, r := range results {
+		t.AddRowf(names[i], r.Completed, r.Skipped, r.Switches, r.MeanAccuracy, r.EffectiveAccuracy(), 100*r.FullPathShare)
+	}
 	return t.Render(w)
 }

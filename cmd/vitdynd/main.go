@@ -288,7 +288,7 @@ func serveDebug(ctx context.Context, addr string, requestz http.Handler, stdout 
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/requestz", requestz)
-	srv := &http.Server{Handler: mux}
+	srv := serve.NewHTTPServer(mux)
 	fmt.Fprintf(stdout, "vitdynd: pprof on http://%s/debug/pprof/\n", ln.Addr())
 	done := make(chan struct{})
 	go func() {

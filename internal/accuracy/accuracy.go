@@ -1,7 +1,7 @@
 // Package accuracy models the validation accuracy of the paper's models and
 // of their pruned execution paths.
 //
-// Substitution note (DESIGN.md): the paper evaluates pretrained weights on
+// Substitution note (see PAPER.md for the paper's setup): the paper evaluates pretrained weights on
 // ADE20K/Cityscapes/COCO/ImageNet; no datasets, weights or training are
 // available here, so accuracy is a *model*: a monotone parametric surface
 // over the pruning configuration, anchored on every (configuration,
@@ -121,7 +121,7 @@ type SegFormerResilience struct {
 	corr        corrector
 }
 
-// Raw parametric sensitivities fitted to the Table III ladder (DESIGN.md):
+// Raw parametric sensitivities fitted to the paper's Table III ladder:
 // fuse-channel pruning follows a_f*(1-frac)^p_f; bypassing trailing blocks
 // in stage s costs b_s per removed fraction.
 const (

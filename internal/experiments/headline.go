@@ -188,7 +188,7 @@ func RenderClaims(claims []Claim) *report.Table {
 	return t
 }
 
-// Summary prints a one-line verdict per claim for EXPERIMENTS.md.
+// Summary prints a one-line verdict per claim.
 func Summary(claims []Claim) string {
 	out := ""
 	for _, c := range claims {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the substrates in this repository. Each Fig*/Table*
-// function returns structured rows (consumed by the cmd/ tools, the root
-// benchmark harness, and EXPERIMENTS.md) and can render itself as text.
+// function returns structured rows (consumed by the cmd/ tools and the
+// root benchmark harness) and can render itself as text.
 package experiments
 
 import (

@@ -4,7 +4,7 @@
 // convolutions run at far higher efficiency than attention, so layers with
 // 60-90% of FLOPs account for only 20-45% of runtime.
 //
-// Substitution note (DESIGN.md): the paper measures a physical GPU; we model
+// Substitution note (see PAPER.md for the paper's setup): the paper measures a physical GPU; we model
 // one. Per layer the model takes
 //
 //	t = max(compute roofline, memory roofline) + launch overhead

@@ -9,10 +9,11 @@
 // LayerNorm, BatchNorm, ReLU, GELU, Add, Interpolate, Concat, Pool and pure
 // data movement (Reshape).
 //
-// Following the paper's convention (verified in DESIGN.md against its
-// reported totals), "FLOPs" means MACs for matrix-type operators; pointwise
-// operators contribute element counts, which are negligible for FLOP totals
-// but matter for memory traffic and kernel-launch accounting.
+// Following the paper's convention (verified by the nn package tests
+// against its reported totals), "FLOPs" means MACs for matrix-type
+// operators; pointwise operators contribute element counts, which are
+// negligible for FLOP totals but matter for memory traffic and
+// kernel-launch accounting.
 package graph
 
 import "fmt"

@@ -6,7 +6,7 @@
 // and input buffers, an array-level global buffer, and off-chip DRAM), with
 // an output-stationary local-weight-stationary dataflow and 8-bit data.
 //
-// Substitution note (DESIGN.md): the paper synthesizes the design with
+// Substitution note (see PAPER.md for the paper's setup): the paper synthesizes the design with
 // Catapult HLS in 5 nm and measures power with PrimeTime; we model the same
 // architecture analytically. The area model is fitted to the paper's
 // Table II (±15% per row asserted in tests); the performance model counts

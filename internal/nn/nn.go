@@ -6,7 +6,7 @@
 // convolution-free reference.
 //
 // All builders are analytical: they emit the exact operator shapes of one
-// inference at a given input resolution. DESIGN.md verifies that the
+// inference at a given input resolution. The package tests verify that the
 // resulting MAC totals reproduce the paper's Table I GFLOPs and the
 // per-layer shares quoted in Section III (Conv2DFuse 62%, fpn_bottleneck
 // 65%, DecodeLinear0 1.3%, and so on).

@@ -111,7 +111,7 @@ func BenchmarkSimulateWideLinear(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := simulateLinear(c, tr)
+		res := simulateWith(c, tr, c.Select)
 		if res.Completed == 0 {
 			b.Fatal("no frames completed")
 		}
@@ -127,6 +127,61 @@ func BenchmarkSelectIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ix := c.NewSelectIndex(); len(ix.thresholds) == 0 {
 			b.Fatal("empty index")
+		}
+	}
+}
+
+// BenchmarkReplayPanel measures the one-pass kernel against the
+// per-policy reference loops on the /v1/replay shape: 20 000 frames of
+// each generator on the catalog-relative budget scale, frontiers of 8
+// and 80 paths, the default three-policy panel and the panel plus a
+// hysteresis:4 controller. The fused kernel's allocations are all
+// set-up (TestReplayFrameLoopAllocFree pins the frame loop at 0). The
+// reference calls its per-frame selector through a function value,
+// which costs it up to ~15% against the original loops, so the
+// fused/reference ratio slightly overstates the gain.
+func BenchmarkReplayPanel(b *testing.B) {
+	const frames = 20000
+	for _, n := range []int{8, 80} {
+		c := benchCatalog(b, n)
+		lo, hi := c.DefaultBudgetScale()
+		traces := []struct {
+			name string
+			tr   Trace
+		}{
+			{"sinusoid", SinusoidTrace(frames, lo, hi, 500)},
+			{"step", StepTrace(frames, lo, hi, 100)},
+			{"bursty", BurstyTrace(frames, lo, hi, 0.35, 7)},
+		}
+		panel := []Policy{DynamicPolicy(), StaticPolicy(c.Full()), StaticPolicy(c.Cheapest())}
+		panels := []struct {
+			name string
+			pols []Policy
+		}{
+			{"default", panel},
+			{"hyst4", append(panel[:len(panel):len(panel)], HysteresisPolicy(4))},
+		}
+		impls := []struct {
+			name   string
+			replay func(*Catalog, Trace, []Policy) ([]SimResult, error)
+		}{
+			{"fused", (*Catalog).Replay},
+			{"reference", replayRef},
+		}
+		for _, tr := range traces {
+			for _, p := range panels {
+				for _, impl := range impls {
+					b.Run(fmt.Sprintf("paths=%d/%s/%s/%s", n, tr.name, p.name, impl.name), func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							if _, err := impl.replay(c, tr.tr, p.pols); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+					})
+				}
+			}
 		}
 	}
 }

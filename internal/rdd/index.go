@@ -1,17 +1,24 @@
 package rdd
 
 // SelectIndex: the replay fast path. Select scans every path per call,
-// which is fine for a one-off budget query but quadratic-ish in practice
-// for replay — Simulate calls it once per trace frame, so a wide catalog
-// (hundreds of frontier points) times a long trace pays frames × paths
-// comparisons. The selection function is monotone in the budget: the
-// feasible set only grows as the budget rises, so the winner changes at
-// a bounded set of cost thresholds. Precomputing that threshold table
-// once per replay turns every per-frame selection into one binary
-// search — O(log n) instead of O(n) — with results exactly equal to
-// Select's, tie rules included.
+// which is fine for a one-off budget query but would make a replay pay
+// frames × paths comparisons against a wide catalog (hundreds of
+// frontier points). The selection function is monotone in the budget:
+// the feasible set only grows as the budget rises, so the winner changes
+// at a bounded set of cost thresholds. Catalog.Replay builds that
+// threshold table once per call and shares it across every dynamic
+// policy; frames locate their threshold interval by binary search, and
+// a run of frames in one interval shares one search. Results are
+// exactly equal to Select's, tie rules included. Each winner's cost is
+// the threshold it was recorded at (the winner only changes when a path
+// of the newly feasible cost beats it), which the hysteresis controller
+// relies on.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // SelectIndex is a budget-sorted threshold index over a snapshot of a
 // catalog's paths. thresholds is ascending; winners[i] is the path
@@ -19,9 +26,9 @@ import "sort"
 // A budget below thresholds[0] fits no path. The index is immutable
 // once built and safe for concurrent readers; it reflects the Paths
 // slice as of NewSelectIndex, so callers that mutate Paths in place must
-// rebuild it (Simulate and SimulateHysteresis build a fresh index per
-// call, preserving Select's read-the-current-Paths semantics at call
-// granularity).
+// rebuild it (Catalog.Replay, and so every Simulate* call, builds a
+// fresh index per call, preserving Select's read-the-current-Paths
+// semantics at call granularity).
 type SelectIndex struct {
 	thresholds []float64
 	winners    []Path
@@ -33,19 +40,24 @@ type SelectIndex struct {
 // under budget, ties to the cheaper path, first-seen (Paths order) on
 // exact ties — so index selections are byte-identical to linear ones.
 func (c *Catalog) NewSelectIndex() *SelectIndex {
+	thresholds, winners := c.selectThresholds()
+	ix := &SelectIndex{thresholds: thresholds, winners: make([]Path, len(winners))}
+	for i, w := range winners {
+		ix.winners[i] = c.Paths[w]
+	}
+	return ix
+}
+
+// selectThresholds computes the index over the current paths: the
+// ascending thresholds, and for each the Paths index of the winner from
+// that threshold up to the next.
+func (c *Catalog) selectThresholds() (thresholds []float64, winners []int) {
 	n := len(c.Paths)
-	ix := &SelectIndex{
-		thresholds: make([]float64, 0, n),
-		winners:    make([]Path, 0, n),
-	}
-	if n == 0 {
-		return ix
-	}
 	ord := make([]int, n)
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(a, b int) bool { return c.Paths[ord[a]].Cost < c.Paths[ord[b]].Cost })
+	slices.SortFunc(ord, func(a, b int) int { return cmp.Compare(c.Paths[a].Cost, c.Paths[b].Cost) })
 	// Walk paths in ascending cost order, maintaining the running winner
 	// under Select's comparison. beats replicates Select's replacement
 	// rule as a total order: strictly higher accuracy wins, equal
@@ -62,6 +74,7 @@ func (c *Catalog) NewSelectIndex() *SelectIndex {
 		}
 		return pi < wi
 	}
+	thresholds, winners = make([]float64, 0, n), make([]int, 0, n)
 	winner := -1
 	for i := 0; i < n; {
 		cost := c.Paths[ord[i]].Cost
@@ -72,12 +85,12 @@ func (c *Catalog) NewSelectIndex() *SelectIndex {
 				winner = ord[i]
 			}
 		}
-		if k := len(ix.winners); k == 0 || ix.winners[k-1] != c.Paths[winner] {
-			ix.thresholds = append(ix.thresholds, cost)
-			ix.winners = append(ix.winners, c.Paths[winner])
+		if k := len(winners); k == 0 || c.Paths[winners[k-1]] != c.Paths[winner] {
+			thresholds = append(thresholds, cost)
+			winners = append(winners, winner)
 		}
 	}
-	return ix
+	return thresholds, winners
 }
 
 // Select returns the most accurate path whose cost fits the budget —

@@ -6,99 +6,6 @@ import (
 	"testing"
 )
 
-// simulateLinear is the pre-index Simulate — per-frame linear Select —
-// kept as the reference implementation the SelectIndex fast path is
-// pinned against.
-func simulateLinear(c *Catalog, tr Trace) SimResult {
-	res := SimResult{Frames: len(tr)}
-	full := c.Full()
-	var accSum, costSum float64
-	fullCount := 0
-	prevLabel := ""
-	for _, budget := range tr {
-		p, ok := c.Select(budget)
-		if !ok {
-			res.Skipped++
-			continue
-		}
-		if res.Completed > 0 && p.Label != prevLabel {
-			res.Switches++
-		}
-		prevLabel = p.Label
-		res.Completed++
-		accSum += p.Accuracy
-		costSum += p.Cost
-		if p.Label == full.Label {
-			fullCount++
-		}
-	}
-	if res.Completed > 0 {
-		res.MeanAccuracy = accSum / float64(res.Completed)
-		res.MeanCost = costSum / float64(res.Completed)
-		res.FullPathShare = float64(fullCount) / float64(res.Completed)
-	}
-	return res
-}
-
-// simulateHysteresisLinear is the pre-index SimulateHysteresis, same role.
-func simulateHysteresisLinear(c *Catalog, tr Trace, k int) SimResult {
-	if k <= 1 {
-		return simulateLinear(c, tr)
-	}
-	res := SimResult{Frames: len(tr)}
-	full := c.Full()
-	var accSum, costSum float64
-	fullCount := 0
-	var cur Path
-	haveCur := false
-	pendingLabel := ""
-	streak := 0
-	for _, budget := range tr {
-		want, ok := c.Select(budget)
-		if !ok {
-			res.Skipped++
-			pendingLabel, streak = "", 0
-			continue
-		}
-		run := want
-		switch {
-		case !haveCur:
-		case want.Label == cur.Label:
-			run = cur
-			pendingLabel, streak = "", 0
-		case cur.Cost > budget:
-			pendingLabel, streak = "", 0
-		default:
-			if want.Label == pendingLabel {
-				streak++
-			} else {
-				pendingLabel, streak = want.Label, 1
-			}
-			if streak >= k {
-				pendingLabel, streak = "", 0
-			} else {
-				run = cur
-			}
-		}
-		if res.Completed > 0 && run.Label != cur.Label {
-			res.Switches++
-		}
-		cur, haveCur = run, true
-		res.Completed++
-		accSum += run.Accuracy
-		costSum += run.Cost
-		if run.Label == full.Label {
-			fullCount++
-		}
-	}
-	if res.Completed > 0 {
-		res.MeanAccuracy = accSum / float64(res.Completed)
-		res.MeanCost = costSum / float64(res.Completed)
-		res.FullPathShare = float64(fullCount) / float64(res.Completed)
-	}
-	return res
-}
-
 // indexTestCatalogs covers the shapes the index must agree with Select
 // on: clean frontiers, duplicate costs, duplicate accuracies, exact
 // (cost, accuracy) ties, dominated paths, unsorted Paths order, and a
@@ -221,12 +128,12 @@ func TestSimulateMatchesLinearReference(t *testing.T) {
 			"empty":    {},
 		}
 		for tn, tr := range traces {
-			if got, want := c.Simulate(tr), simulateLinear(c, tr); got != want {
+			if got, want := c.Simulate(tr), simulateWith(c, tr, c.Select); got != want {
 				t.Errorf("%s/%s: Simulate = %+v, linear reference = %+v", name, tn, got, want)
 			}
 			for _, k := range []int{0, 1, 2, 3, 7} {
 				got := c.SimulateHysteresis(tr, k)
-				want := simulateHysteresisLinear(c, tr, k)
+				want := simulateHysteresisWith(c, tr, k, c.Select)
 				if got != want {
 					t.Errorf("%s/%s k=%d: SimulateHysteresis = %+v, linear reference = %+v", name, tn, k, got, want)
 				}

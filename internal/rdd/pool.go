@@ -1,9 +1,11 @@
 package rdd
 
 // Trace slice pooling. Every replay builds a frames-long []float64,
-// simulates against it, and drops it — at serving rates that is the
-// dominant per-request allocation on the cold replay path (the warm
-// path serves cached bytes and never builds a trace at all). The
+// walks it once for all its policies (Catalog.Replay), and drops it — at
+// serving rates that is the dominant per-request allocation on the cold
+// replay path (the warm path serves cached bytes and never builds a
+// trace at all; the one-pass kernel's own allocations are a few small
+// per-call tables, independent of the frame count). The
 // generators draw their backing arrays from a sync.Pool here; callers
 // that are done with a trace hand it back via RecycleTrace. Recycling
 // is optional and safety does not depend on it: every generator

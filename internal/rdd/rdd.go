@@ -1,14 +1,21 @@
 // Package rdd implements resource-dependent dynamic inference (Section II-A
 // and V-E): a catalog of alternative execution paths with known cost and
 // accuracy, a controller that selects the most accurate path whose cost fits
-// the instantaneous resource budget, and a simulator that replays synthetic
+// the instantaneous resource budget, and a simulator that replays
 // resource-availability traces to measure average accuracy and deadline
-// behaviour against a static worst-case baseline.
+// behaviour against static full and worst-case baselines.
 //
-// Substitution note (DESIGN.md): the paper targets real-time systems with
-// fluctuating load; with no such system available, traces are synthetic
-// (sinusoidal, bursty Markov, step). The controller logic itself — an
-// image-independent table lookup per inference — is exactly the paper's.
+// Replay is one pass: Catalog.Replay evaluates every policy of a
+// comparison — dynamic, hysteresis-damped, static pins — in a single walk
+// over the trace, and the single-policy Simulate* functions are calls
+// into the same kernel (see replay.go).
+//
+// Substitution note (see PAPER.md for the paper's setup): the paper
+// targets real-time systems with fluctuating load; with no such system
+// available, traces are synthetic (sinusoidal, bursty Markov, step) or
+// recorded budgets supplied by the caller. The controller logic itself —
+// an image-independent table lookup per inference — is exactly the
+// paper's.
 package rdd
 
 import (
@@ -109,9 +116,9 @@ func (c *Catalog) DefaultBudgetScale() (lo, hi float64) {
 // Selection is input-independent, as in the paper. The scan runs directly
 // over Paths with pareto.BestValueUnderCost's exact semantics (highest
 // accuracy under budget, ties to the cheaper path, first-seen on exact
-// ties) — it allocates nothing, which matters because Simulate calls it
-// once per trace frame, and always reads the current Paths, so catalogs
-// assembled or mutated by hand select correctly too.
+// ties) — it allocates nothing and always reads the current Paths, so
+// catalogs assembled or mutated by hand select correctly too. Replays do
+// not scan per frame: they select through a SelectIndex.
 func (c *Catalog) Select(budget float64) (Path, bool) {
 	best := Path{}
 	found := false
@@ -201,12 +208,14 @@ func StepTrace(frames int, lo, hi float64, stride int) Trace {
 		stride = 50
 	}
 	tr := getTrace(frames)
-	for i := range tr {
-		if (i/stride)%2 == 0 {
-			tr[i] = hi
-		} else {
-			tr[i] = lo
+	// Fill whole strides: hi, lo, hi, ...
+	level, next := hi, lo
+	for start := 0; start < frames; start += stride {
+		fill := tr[start:min(start+stride, frames)]
+		for i := range fill {
+			fill[i] = level
 		}
+		level, next = next, level
 	}
 	return tr
 }
@@ -291,40 +300,11 @@ func (r SimResult) SwitchRate() float64 {
 	return float64(r.Switches) / float64(r.Completed-1)
 }
 
-// Simulate replays the trace with dynamic path selection. Per-frame
-// selection goes through a SelectIndex built once per call — O(log n)
-// per frame instead of Select's O(n) scan, byte-identical results —
-// so replaying long traces against wide catalogs stays cheap.
+// Simulate replays the trace with dynamic path selection: Replay with
+// the one DynamicPolicy, minus the feasibility check (an infeasible trace
+// comes back as all-skipped frames).
 func (c *Catalog) Simulate(tr Trace) SimResult {
-	res := SimResult{Frames: len(tr)}
-	full := c.Full()
-	ix := c.NewSelectIndex()
-	var accSum, costSum float64
-	fullCount := 0
-	prevLabel := ""
-	for _, budget := range tr {
-		p, ok := ix.Select(budget)
-		if !ok {
-			res.Skipped++
-			continue
-		}
-		if res.Completed > 0 && p.Label != prevLabel {
-			res.Switches++
-		}
-		prevLabel = p.Label
-		res.Completed++
-		accSum += p.Accuracy
-		costSum += p.Cost
-		if p.Label == full.Label {
-			fullCount++
-		}
-	}
-	if res.Completed > 0 {
-		res.MeanAccuracy = accSum / float64(res.Completed)
-		res.MeanCost = costSum / float64(res.Completed)
-		res.FullPathShare = float64(fullCount) / float64(res.Completed)
-	}
-	return res
+	return c.replayOne(tr, DynamicPolicy())
 }
 
 // SimulateHysteresis replays the trace with dynamic path selection
@@ -336,67 +316,12 @@ func (c *Catalog) Simulate(tr Trace) SimResult {
 // for far fewer switches. Two exceptions keep the replay honest: a frame
 // whose budget no longer covers the current path switches immediately
 // (running over budget is not an option), and a skipped frame (no path
-// fits at all) breaks the consecutive-preference streak. k <= 1
-// degenerates to Simulate exactly.
+// fits at all) breaks the consecutive-preference streak. Paths compare
+// by label, so a preferred path sharing the current one's label is no
+// switch and the current path keeps running. k <= 1 degenerates to
+// Simulate exactly.
 func (c *Catalog) SimulateHysteresis(tr Trace, k int) SimResult {
-	if k <= 1 {
-		return c.Simulate(tr)
-	}
-	res := SimResult{Frames: len(tr)}
-	full := c.Full()
-	ix := c.NewSelectIndex()
-	var accSum, costSum float64
-	fullCount := 0
-	var cur Path
-	haveCur := false
-	pendingLabel := ""
-	streak := 0
-	for _, budget := range tr {
-		want, ok := ix.Select(budget)
-		if !ok {
-			res.Skipped++
-			pendingLabel, streak = "", 0
-			continue
-		}
-		run := want
-		switch {
-		case !haveCur:
-			// First completed frame: adopt the selection outright.
-		case want.Label == cur.Label:
-			run = cur
-			pendingLabel, streak = "", 0
-		case cur.Cost > budget:
-			// Forced switch: the current path no longer fits this frame.
-			pendingLabel, streak = "", 0
-		default:
-			if want.Label == pendingLabel {
-				streak++
-			} else {
-				pendingLabel, streak = want.Label, 1
-			}
-			if streak >= k {
-				pendingLabel, streak = "", 0 // commit the switch
-			} else {
-				run = cur // hold the line
-			}
-		}
-		if res.Completed > 0 && run.Label != cur.Label {
-			res.Switches++
-		}
-		cur, haveCur = run, true
-		res.Completed++
-		accSum += run.Accuracy
-		costSum += run.Cost
-		if run.Label == full.Label {
-			fullCount++
-		}
-	}
-	if res.Completed > 0 {
-		res.MeanAccuracy = accSum / float64(res.Completed)
-		res.MeanCost = costSum / float64(res.Completed)
-		res.FullPathShare = float64(fullCount) / float64(res.Completed)
-	}
-	return res
+	return c.replayOne(tr, HysteresisPolicy(k))
 }
 
 // SimulateStatic replays the trace always running one fixed path: frames
@@ -407,20 +332,9 @@ func (c *Catalog) SimulateHysteresis(tr Trace, k int) SimResult {
 // skipped"; catalog-aware callers should prefer Catalog.SimulateStatic,
 // which knows whether the pin IS the full path.
 func SimulateStatic(p Path, tr Trace) SimResult {
-	res := SimResult{Frames: len(tr)}
-	for _, budget := range tr {
-		if p.Cost > budget {
-			res.Skipped++
-			continue
-		}
-		res.Completed++
-	}
-	if res.Completed > 0 {
-		res.MeanAccuracy = p.Accuracy
-		res.MeanCost = p.Cost
-		if res.Skipped == 0 {
-			res.FullPathShare = 1
-		}
+	res := (&Catalog{Paths: []Path{p}}).SimulateStatic(p, tr)
+	if res.Skipped > 0 {
+		res.FullPathShare = 0
 	}
 	return res
 }
@@ -433,13 +347,7 @@ func SimulateStatic(p Path, tr Trace) SimResult {
 // approximation (which reports 100% for a cheapest-path pin that never
 // touches the full model).
 func (c *Catalog) SimulateStatic(p Path, tr Trace) SimResult {
-	res := SimulateStatic(p, tr)
-	if res.Completed > 0 && p.Label == c.Full().Label {
-		res.FullPathShare = 1
-	} else {
-		res.FullPathShare = 0
-	}
-	return res
+	return c.replayOne(tr, StaticPolicy(p))
 }
 
 // EffectiveAccuracy scores a result counting skipped frames as zero-accuracy

@@ -118,6 +118,28 @@ func TestTraces(t *testing.T) {
 	}
 }
 
+// TestStepTraceMatchesPerFrameRule pins the stride-filling StepTrace to
+// the per-frame definition — frame i is hi when (i/stride) is even, lo
+// otherwise — for strides that divide the length, leave a partial last
+// stride, exceed it, and for the empty trace.
+func TestStepTraceMatchesPerFrameRule(t *testing.T) {
+	for _, c := range []struct{ frames, stride int }{{0, 5}, {1, 1}, {7, 1}, {100, 10}, {101, 10}, {13, 50}, {64, 8}} {
+		tr := StepTrace(c.frames, 1, 5, c.stride)
+		if len(tr) != c.frames {
+			t.Fatalf("frames=%d stride=%d: len %d", c.frames, c.stride, len(tr))
+		}
+		for i, v := range tr {
+			want := 5.0
+			if (i/c.stride)%2 != 0 {
+				want = 1
+			}
+			if v != want {
+				t.Fatalf("frames=%d stride=%d: frame %d = %v, want %v", c.frames, c.stride, i, v, want)
+			}
+		}
+	}
+}
+
 // TestBurstyTraceDutyCycle pins the contended-frame fraction to busyFrac:
 // the two-state chain's stationary contended probability is exactly
 // busyFrac, so over a long trace the realized fraction must sit near it

@@ -3,6 +3,7 @@ package rdd
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -14,8 +15,9 @@ import (
 // newline-delimited text file: one budget per line, or several per line
 // separated by commas (flattened in reading order), blank lines and
 // #-comment lines skipped — tolerant enough to ingest a column dumped
-// from a metrics system without reshaping. Budgets must be non-negative
-// and the file must contain at least one.
+// from a metrics system without reshaping. Budgets must be finite and
+// non-negative (strconv.ParseFloat accepts "NaN" and "Inf", so both are
+// checked explicitly) and the file must contain at least one.
 func ReadValuesFile(path string) (Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -39,6 +41,9 @@ func ReadValuesFile(path string) (Trace, error) {
 			v, err := strconv.ParseFloat(field, 64)
 			if err != nil {
 				return nil, fmt.Errorf("rdd: %s:%d: bad budget %q: %v", path, line, field, err)
+			}
+			if !isFinite(v) {
+				return nil, fmt.Errorf("rdd: %s:%d: budget %q is not finite", path, line, field)
 			}
 			if v < 0 {
 				return nil, fmt.Errorf("rdd: %s:%d: budget %v is negative", path, line, v)
@@ -154,11 +159,18 @@ func (s TraceSpec) WithBudgetScale(lo, hi float64) TraceSpec {
 	return s
 }
 
+// isFinite reports whether v is neither NaN nor an infinity: a budget
+// must be a real amount, and NaN slips past every ordered comparison.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // validateSynthetic checks the parameters every generated (non-inline)
 // kind shares.
 func (s TraceSpec) validateSynthetic() error {
 	if s.Frames <= 0 {
 		return fmt.Errorf("rdd: trace kind %q needs frames > 0 (got %d)", s.Kind, s.Frames)
+	}
+	if !isFinite(s.Lo) || !isFinite(s.Hi) {
+		return fmt.Errorf("rdd: trace kind %q budgets must be finite (lo=%v hi=%v)", s.Kind, s.Lo, s.Hi)
 	}
 	if s.Lo < 0 || s.Hi < 0 {
 		return fmt.Errorf("rdd: trace kind %q budgets must be non-negative (lo=%v hi=%v)", s.Kind, s.Lo, s.Hi)
@@ -191,7 +203,7 @@ func init() {
 		if err := s.validateSynthetic(); err != nil {
 			return nil, err
 		}
-		if s.BusyFrac < 0 || s.BusyFrac > 1 {
+		if !(s.BusyFrac >= 0 && s.BusyFrac <= 1) { // NaN fails both tests
 			return nil, fmt.Errorf("rdd: bursty busy_frac %v outside [0,1]", s.BusyFrac)
 		}
 		return BurstyTrace(s.Frames, s.Lo, s.Hi, s.BusyFrac, s.Seed), nil
@@ -217,6 +229,9 @@ func init() {
 			return nil, fmt.Errorf("rdd: values trace frames=%d contradicts %d inline values (omit frames or make them agree)", s.Frames, len(s.Values))
 		}
 		for i, v := range s.Values {
+			if !isFinite(v) {
+				return nil, fmt.Errorf("rdd: values trace budget %d is not finite (%v)", i, v)
+			}
 			if v < 0 {
 				return nil, fmt.Errorf("rdd: values trace budget %d is negative (%v)", i, v)
 			}

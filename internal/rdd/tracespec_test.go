@@ -3,6 +3,7 @@ package rdd
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +68,28 @@ func TestTraceSpecValidation(t *testing.T) {
 		{TraceSpec{Kind: "values", Values: []float64{1, -2}}, "negative"},
 	}
 	for _, tc := range bad {
+		if _, err := tc.spec.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want mention of %q", tc.spec, err, tc.want)
+		}
+	}
+	// Non-finite budgets: NaN slips past every ordered comparison and the
+	// infinities past the sign checks, so each entry point refuses them
+	// explicitly and names the value.
+	nan, inf := math.NaN(), math.Inf(1)
+	nonFinite := []struct {
+		spec TraceSpec
+		want string
+	}{
+		{TraceSpec{Kind: "values", Values: []float64{1, nan}}, "budget 1 is not finite (NaN)"},
+		{TraceSpec{Kind: "values", Values: []float64{inf}}, "budget 0 is not finite (+Inf)"},
+		{TraceSpec{Kind: "values", Values: []float64{2, 3, -inf}}, "budget 2 is not finite (-Inf)"},
+		{TraceSpec{Kind: "sinusoid", Frames: 10, Lo: nan, Hi: 2}, "finite (lo=NaN hi=2)"},
+		{TraceSpec{Kind: "step", Frames: 10, Lo: 1, Hi: inf}, "finite (lo=1 hi=+Inf)"},
+		{TraceSpec{Kind: "bursty", Frames: 10, Lo: -inf, Hi: 2}, "finite (lo=-Inf hi=2)"},
+		{TraceSpec{Kind: "bursty", Frames: 10, Lo: 1, Hi: nan}, "finite (lo=1 hi=NaN)"},
+		{TraceSpec{Kind: "bursty", Frames: 10, Lo: 1, Hi: 2, BusyFrac: nan}, "busy_frac NaN"},
+	}
+	for _, tc := range nonFinite {
 		if _, err := tc.spec.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: error %v, want mention of %q", tc.spec, err, tc.want)
 		}

@@ -92,3 +92,18 @@ func TestValuesFileTraceKind(t *testing.T) {
 		t.Errorf("values-file missing from TraceKinds %v", TraceKinds())
 	}
 }
+
+// TestReadValuesFileRejectsNonFinite: strconv.ParseFloat accepts every
+// spelling of NaN and the infinities, and NaN passes a "v < 0" check, so
+// each must be refused explicitly, naming the offending field and line.
+func TestReadValuesFileRejectsNonFinite(t *testing.T) {
+	for _, field := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-infinity"} {
+		t.Run(field, func(t *testing.T) {
+			_, err := ReadValuesFile(writeTrace(t, "5\n4, "+field+"\n"))
+			if err == nil || !strings.Contains(err.Error(), ":2:") || !strings.Contains(err.Error(), `"`+field+`"`) ||
+				!strings.Contains(err.Error(), "not finite") {
+				t.Errorf("error = %v, want a not-finite error citing line 2 and %q", err, field)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -86,15 +87,6 @@ func specFrames(s rdd.TraceSpec) int {
 	return s.Frames
 }
 
-// replayPolicy is a resolved path-selection policy: dynamic Select
-// (optionally damped by switching hysteresis), or a static pin.
-type replayPolicy struct {
-	name       string
-	dynamic    bool
-	hysteresis int // dynamic-hysteresis:<k>; 0 = switch freely
-	pin        rdd.Path
-}
-
 // parseHysteresisPolicy recognizes the dynamic-hysteresis:<k> policy
 // form, returning (k, true) on a match. A matched-but-malformed k is an
 // error: the name was clearly meant as this policy.
@@ -145,69 +137,57 @@ func validatePolicyNames(names []string) error {
 }
 
 // resolveReplayPolicies maps policy names to executable policies
-// against a built catalog. nil selects the default panel.
-func resolveReplayPolicies(cat *rdd.Catalog, names []string) ([]replayPolicy, error) {
+// against a built catalog, returning the names as replayed alongside:
+// nil selects the default panel.
+func resolveReplayPolicies(cat *rdd.Catalog, names []string) ([]string, []rdd.Policy, error) {
 	if len(names) == 0 {
 		names = []string{"dynamic", "static-full", "static-cheapest"}
 	}
-	pols := make([]replayPolicy, 0, len(names))
+	pols := make([]rdd.Policy, 0, len(names))
 	for _, name := range names {
 		if k, matched, err := parseHysteresisPolicy(name); matched {
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			pols = append(pols, replayPolicy{name: name, dynamic: true, hysteresis: k})
+			pols = append(pols, rdd.HysteresisPolicy(k))
 			continue
 		}
 		switch pin := namedPolicyPins[name]; {
 		case name == "dynamic":
-			pols = append(pols, replayPolicy{name: name, dynamic: true})
+			pols = append(pols, rdd.DynamicPolicy())
 		case pin != nil:
-			pols = append(pols, replayPolicy{name: name, pin: pin(cat)})
+			pols = append(pols, rdd.StaticPolicy(pin(cat)))
 		case strings.HasPrefix(name, "static:"):
 			label := strings.TrimPrefix(name, "static:")
-			found := false
-			for _, p := range cat.Paths {
-				if p.Label == label {
-					pols = append(pols, replayPolicy{name: name, pin: p})
-					found = true
-					break
-				}
+			i := slices.IndexFunc(cat.Paths, func(p rdd.Path) bool { return p.Label == label })
+			if i < 0 {
+				return nil, nil, fmt.Errorf("policy %q: catalog %s has no path %q", name, cat.Model, label)
 			}
-			if !found {
-				return nil, fmt.Errorf("policy %q: catalog %s has no path %q", name, cat.Model, label)
-			}
+			pols = append(pols, rdd.StaticPolicy(cat.Paths[i]))
 		default:
-			return nil, unknownPolicyError(name)
+			return nil, nil, unknownPolicyError(name)
 		}
 	}
-	return pols, nil
+	return names, pols, nil
 }
 
-// simulateReplay replays one trace under every policy. An infeasible
-// trace — even its largest budget below the catalog's cheapest path, so
-// no policy could ever complete a frame — is an explicit *rdd.BudgetError
-// rather than a silent all-skipped result.
-func simulateReplay(cat *rdd.Catalog, tr rdd.Trace, pols []replayPolicy) ([]ReplayPolicyResult, error) {
-	if _, err := cat.SelectStrict(tr.Max()); err != nil {
+// simulateReplay replays one trace under every policy in one pass. An
+// infeasible trace — even its largest budget below the catalog's
+// cheapest path, so no policy could ever complete a frame — is an
+// explicit *rdd.BudgetError rather than a silent all-skipped result.
+func simulateReplay(cat *rdd.Catalog, tr rdd.Trace, names []string, pols []rdd.Policy) ([]ReplayPolicyResult, error) {
+	results, err := cat.Replay(tr, pols)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]ReplayPolicyResult, len(pols))
-	for i, pol := range pols {
-		var res rdd.SimResult
+	for i, res := range results {
 		path := ""
-		if pol.dynamic {
-			if pol.hysteresis > 1 {
-				res = cat.SimulateHysteresis(tr, pol.hysteresis)
-			} else {
-				res = cat.Simulate(tr)
-			}
-		} else {
-			res = cat.SimulateStatic(pol.pin, tr)
-			path = pol.pin.Label
+		if pols[i].Static {
+			path = pols[i].Pin.Label
 		}
 		out[i] = ReplayPolicyResult{
-			Policy:            pol.name,
+			Policy:            names[i],
 			Path:              path,
 			Result:            res,
 			EffectiveAccuracy: res.EffectiveAccuracy(),
@@ -319,7 +299,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pols, err := resolveReplayPolicies(cat, req.Policies)
+	names, pols, err := resolveReplayPolicies(cat, req.Policies)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -346,7 +326,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i].Frames = len(tr)
 		frames := int64(len(tr))
-		polResults, err := simulateReplay(cat, tr, pols)
+		polResults, err := simulateReplay(cat, tr, names, pols)
 		// The trace is consumed: results hold aggregates and the echoed
 		// spec holds the client's inline values, never the built slice —
 		// its backing array goes back to the generator pool.

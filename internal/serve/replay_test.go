@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -432,6 +434,53 @@ func TestReplayRejectsValuesFile(t *testing.T) {
 		})
 		if status != http.StatusBadRequest || !strings.Contains(string(body), "client-side") {
 			t.Errorf("spec %+v: status %d body %s, want 400 pointing at inline values", spec, status, body)
+		}
+	}
+}
+
+// replayCodeWriter discards the body and keeps the status code.
+type replayCodeWriter struct {
+	nullResponseWriter
+	code int
+}
+
+func (w *replayCodeWriter) WriteHeader(code int) { w.code = code }
+
+// BenchmarkHandlerReplayUnique is the replay workload's request in
+// process: a warm catalog (an ~80-path SegFormer frontier on accelerator
+// E) and a never-repeated 20 000-frame trace per iteration — rotating
+// sinusoid, step and bursty, every fourth with a hysteresis policy added
+// — through Handler().ServeHTTP, so the response cache never hits and
+// each iteration pays trace build, the one-pass replay and encoding.
+func BenchmarkHandlerReplayUnique(b *testing.B) {
+	h := NewServer(Options{}).Handler()
+	const catalog = `{"family":"segformer","dataset":"ADE","backend":"magnet-time:E"}`
+	serveBody := func(body string) int {
+		w := &replayCodeWriter{nullResponseWriter: nullResponseWriter{h: make(http.Header)}, code: http.StatusOK}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/replay", strings.NewReader(body)))
+		return w.code
+	}
+	if code := serveBody(`{"catalog":` + catalog + `,"trace":{"kind":"step","frames":10}}`); code != http.StatusOK {
+		b.Fatalf("warm-up replay status %d", code)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var trace string
+		switch i % 3 {
+		case 0:
+			trace = fmt.Sprintf(`{"kind":"sinusoid","frames":20000,"period":%d}`, 50+i)
+		case 1:
+			trace = fmt.Sprintf(`{"kind":"step","frames":20000,"stride":%d}`, 10+i)
+		default:
+			trace = fmt.Sprintf(`{"kind":"bursty","frames":20000,"busy_frac":0.35,"seed":%d}`, i+1)
+		}
+		policies := ""
+		if i%4 == 3 {
+			policies = fmt.Sprintf(`,"policies":["dynamic","static-full","static-cheapest","dynamic-hysteresis:%d"]`, 2+i%7)
+		}
+		if code := serveBody(`{"catalog":` + catalog + `,"trace":` + trace + policies + `}`); code != http.StatusOK {
+			b.Fatalf("replay %d status %d", i, code)
 		}
 	}
 }

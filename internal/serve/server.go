@@ -1149,6 +1149,15 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
+// Batch request limits: the body shares replay's ceiling, and one batch
+// prices at most maxBatchItems catalog specs — far more than any client
+// batches, few enough that one request cannot queue unbounded sweeps
+// behind a single sweep slot.
+const (
+	maxBatchBodyBytes = maxReplayBodyBytes
+	maxBatchItems     = 256
+)
+
 // handleBatch prices many catalog specs in one request. The batch
 // occupies a single server-wide sweep slot and stays inside the request's
 // worker budget: the budget is split between item-level fan-out and each
@@ -1161,12 +1170,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad batch body: %v", err)
 		return
 	}
 	if len(req.Requests) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch: want requests=[{family: ...}, ...]")
+		return
+	}
+	if len(req.Requests) > maxBatchItems {
+		writeError(w, http.StatusBadRequest, "batch of %d requests exceeds the server limit of %d", len(req.Requests), maxBatchItems)
 		return
 	}
 
@@ -1401,6 +1420,23 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// Listener timeouts, shared by the API server and the daemon's debug
+// listener. A client gets ReadHeaderTimeout to finish sending request
+// headers — a connection that never does is closed rather than holding a
+// goroutine and a file descriptor forever — and an idle keep-alive
+// connection is closed after IdleTimeout. Neither bounds a request body
+// or a response, so streaming imports and long profiles are unaffected.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer wraps a handler in an http.Server carrying the listener
+// timeouts above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // ListenAndServe runs a fresh server on addr until ctx is cancelled,
 // then drains in-flight requests (bounded by the request timeout) and
 // returns. onListen, if non-nil, is called with the bound address before
@@ -1423,7 +1459,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, onListen func(
 	if onListen != nil {
 		onListen(ln.Addr())
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := NewHTTPServer(s.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	select {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -369,6 +370,36 @@ func TestBatchEndpointBadRequests(t *testing.T) {
 	}
 }
 
+// TestBatchEndpointLimits: the batch body shares replay's byte ceiling
+// (413 past it) and the item count is capped (400 naming the limit),
+// both rejected before any sweep runs.
+func TestBatchEndpointLimits(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	huge := `{"requests":[{"family":"` + strings.Repeat("x", maxBatchBodyBytes) + `"}]}`
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body status %d, want 413", resp.StatusCode)
+	}
+	req := BatchRequest{Requests: make([]CatalogRequest, maxBatchItems+1)}
+	for i := range req.Requests {
+		req.Requests[i] = CatalogRequest{Family: "ofa", Backend: "flops"}
+	}
+	status, body := postJSON(t, ts.URL+"/v1/batch", req)
+	if status != http.StatusBadRequest {
+		t.Fatalf("too many items status %d, want 400; body %s", status, body)
+	}
+	if want := "limit of " + strconv.Itoa(maxBatchItems); !strings.Contains(string(body), want) {
+		t.Errorf("too-many-items body %s does not name the limit (%q)", body, want)
+	}
+	if got := srv.sweeps.Load(); got != 0 {
+		t.Errorf("rejected batches paid for %d sweeps, want 0", got)
+	}
+}
+
 func TestStatszStreamSection(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	// A fine-step SegFormer sweep exercises the pre-filter.
@@ -438,5 +469,46 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down after cancellation")
+	}
+}
+
+// TestListenerClosesStalledHeaders: a client that opens a connection and
+// never finishes its request headers is disconnected once
+// ReadHeaderTimeout passes, instead of pinning a goroutine and a file
+// descriptor for as long as it likes.
+func TestListenerClosesStalledHeaders(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrCh := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- ListenAndServe(ctx, "127.0.0.1:0", Options{}, func(a net.Addr) {
+			addrCh <- a.String()
+		})
+	}()
+	conn, err := net.Dial("tcp", <-addrCh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	// A request line and one header, but never the blank line ending them.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(ReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 512))
+	if n != 0 || err != io.EOF {
+		t.Fatalf("stalled connection read %d bytes, err %v; want the server to close it (EOF)", n, err)
+	}
+	if waited := time.Since(start); waited < ReadHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, ReadHeaderTimeout)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("shutdown returned %v", err)
 	}
 }

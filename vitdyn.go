@@ -20,9 +20,9 @@
 //     across requests.
 //
 // The subpackage types are re-exported here as aliases so downstream code
-// only imports vitdyn. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-versus-measured results of every table and
-// figure.
+// only imports vitdyn. See README.md for the system tour and the
+// experiments that regenerate every table and figure, and PAPER.md for
+// the paper being reproduced.
 package vitdyn
 
 import (
@@ -220,6 +220,12 @@ type ResourceTrace = rdd.Trace
 
 // RDDSimResult summarizes replaying a trace.
 type RDDSimResult = rdd.SimResult
+
+// RDDPolicy is one path-selection policy for RDDCatalog.Replay, which
+// replays a trace under a whole panel of policies in one pass: the zero
+// value is the dynamic controller, Hysteresis > 1 damps it, and Static
+// pins Pin.
+type RDDPolicy = rdd.Policy
 
 // CostBackend prices one inference of a graph on an execution substrate.
 // It replaced the closed execution-target struct: any implementation —

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -228,6 +229,15 @@ func TestPublicHysteresisAndValuesFile(t *testing.T) {
 	damped := cat.SimulateHysteresis(tr, 4)
 	if damped.Switches >= free.Switches {
 		t.Errorf("hysteresis switches %d did not drop below %d", damped.Switches, free.Switches)
+	}
+	// The one-pass panel replay returns the same results as the
+	// single-policy calls, in panel order.
+	panel, err := cat.Replay(tr, []RDDPolicy{{}, {Hysteresis: 4}, {Static: true, Pin: cat.Full()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []RDDSimResult{free, damped, cat.SimulateStatic(cat.Full(), tr)}; !reflect.DeepEqual(panel, want) {
+		t.Errorf("Replay panel %+v, want %+v", panel, want)
 	}
 	path := filepath.Join(t.TempDir(), "load.csv")
 	if err := os.WriteFile(path, []byte("9\n3\n9\n"), 0o644); err != nil {
