@@ -19,11 +19,23 @@
 // a *Catalog function building the frontier on a backend with a bounded
 // number of workers (0 = GOMAXPROCS); *CatalogStream variants additionally
 // report the pipeline's StreamStats.
+//
+// The pruning sweeps (SegFormerCandidateSeq, SwinCandidateSeq) enumerate
+// paths grouped by encoder depths, and a group's paths differ only in
+// decoder channels. The generator opens one sync.OnceValues per run of
+// consecutive candidates sharing a depth set: the first worker to build a
+// candidate of the group builds the group's base graph
+// (prune.NewSegFormerBase, prune.NewSwinBase), and every candidate of the
+// group derives its graph from that base with a clone and a decoder
+// patch. The base is never mutated. It is scoped to its group: only the
+// group's candidates reference it, so it becomes garbage once they are
+// done, and no sweep-wide or process-wide memo of bases exists.
 package core
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"vitdyn/internal/accuracy"
 	"vitdyn/internal/engine"
@@ -90,13 +102,27 @@ func SegFormerCandidateSeq(dataset string, channelStep int) (string, engine.Cand
 		return "", nil, err
 	}
 	seq := func(yield func(engine.Candidate) bool) {
+		var (
+			base   func() (*prune.SegFormerBase, error)
+			blocks [4]int
+		)
 		for p := range prune.SegFormerSweepSeq(cfg, channelStep) {
-			p := p
+			if base == nil || p.EncoderBlocks != blocks {
+				blocks = p.EncoderBlocks
+				base = sync.OnceValues(func() (*prune.SegFormerBase, error) {
+					return prune.NewSegFormerBase(cfg, size, size, p.EncoderBlocks)
+				})
+			}
+			base := base
 			ok := yield(engine.Candidate{
 				Label:    p.Label,
 				Accuracy: res.Pretrained(p),
 				Build: func() (*graph.Graph, error) {
-					return prune.ApplySegFormer(cfg, size, size, p)
+					b, err := base()
+					if err != nil {
+						return nil, err
+					}
+					return b.Derive(p)
 				},
 			})
 			if !ok {
@@ -217,13 +243,27 @@ func SwinCandidateSeq(variant string, channelStep int) (string, engine.Candidate
 	}
 	full := prune.FullSwinPath(cfg)
 	seq := func(yield func(engine.Candidate) bool) {
+		var (
+			base           func() (*prune.SwinBase, error)
+			stage2, stage3 int
+		)
 		for p := range prune.SwinSweepSeq(cfg, channelStep) {
-			p := p
+			if base == nil || p.Stage2Blocks != stage2 || p.Stage3Blocks != stage3 {
+				stage2, stage3 = p.Stage2Blocks, p.Stage3Blocks
+				base = sync.OnceValues(func() (*prune.SwinBase, error) {
+					return prune.NewSwinBase(cfg, 512, 512, p.Stage2Blocks, p.Stage3Blocks)
+				})
+			}
+			base := base
 			ok := yield(engine.Candidate{
 				Label:    p.Label,
 				Accuracy: res.Pretrained(p, full),
 				Build: func() (*graph.Graph, error) {
-					return prune.ApplySwin(cfg, 512, 512, p)
+					b, err := base()
+					if err != nil {
+						return nil, err
+					}
+					return b.Derive(p)
 				},
 			})
 			if !ok {

@@ -39,6 +39,19 @@ type Entry struct {
 	Vals    []float64
 }
 
+// Validate checks the entry's cost vector: every value finite and
+// positive, as every backend produces. A snapshot's checksum proves its
+// bytes arrived intact, not that its costs are sane, so imports check
+// every entry before any of them is stored.
+func (e Entry) Validate() error {
+	for i, v := range e.Vals {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("costdb: entry %q/%016x: cost %d is %v, want finite and positive", e.Backend, e.Sig, i, v)
+		}
+	}
+	return nil
+}
+
 // Codec limits: a backend name or metric vector beyond these bounds is
 // not something this repository can produce, so a decoded length past
 // them means the bytes are garbage — fail before allocating.

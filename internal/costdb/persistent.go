@@ -436,6 +436,11 @@ func (p *Persistent) Import(r io.Reader) (total, added int, err error) {
 		return total, 0, err
 	}
 	for _, e := range staged {
+		if err := e.Validate(); err != nil {
+			return total, 0, err
+		}
+	}
+	for _, e := range staged {
 		// Compaction is deferred (see append) and run once below.
 		isNew, aerr := p.append(e.Backend, e.Epoch, e.Sig, e.Vals, false)
 		if aerr != nil {

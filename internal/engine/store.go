@@ -83,6 +83,12 @@ func (s *Store) Contains(backend string, epoch, sig uint64) bool {
 	return s.lru.Contains(storeKey{backend: backend, epoch: epoch, sig: sig})
 }
 
+// Remove drops (backend, epoch, sig), reporting whether it was
+// resident: how an import that fails midway takes back what it seeded.
+func (s *Store) Remove(backend string, epoch, sig uint64) bool {
+	return s.lru.Remove(storeKey{backend: backend, epoch: epoch, sig: sig})
+}
+
 // Len returns the number of resident entries.
 func (s *Store) Len() int { return s.lru.Len() }
 

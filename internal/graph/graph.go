@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Graph is an ordered list of layers describing one inference of a model at a
@@ -26,9 +27,18 @@ func (g *Graph) Add(l Layer) *Layer {
 	return &g.Layers[len(g.Layers)-1]
 }
 
+// namePool recycles Validate's name sets. Every swept candidate is
+// validated, and a fresh map per call was a tenth of a candidate
+// build's allocation.
+var namePool = sync.Pool{New: func() any { return map[string]struct{}{} }}
+
 // Validate checks every layer and that names are unique.
 func (g *Graph) Validate() error {
-	seen := make(map[string]struct{}, len(g.Layers))
+	seen := namePool.Get().(map[string]struct{})
+	defer func() {
+		clear(seen)
+		namePool.Put(seen)
+	}()
 	for i := range g.Layers {
 		l := &g.Layers[i]
 		if l.Name == "" {

@@ -262,6 +262,21 @@ func (c *Cache[K, V]) Put(k K, tag uint64, v V) {
 	c.insert(c.shardFor(k), e, false)
 }
 
+// Remove drops k's entry, in flight or finished, reporting whether one
+// was resident. A caller sharing an in-flight computation still receives
+// its result.
+func (c *Cache[K, V]) Remove(k K) bool {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.m[k]
+	if e == nil {
+		return false
+	}
+	s.remove(e)
+	return true
+}
+
 // Contains reports whether k is resident, without touching recency
 // order or counters.
 func (c *Cache[K, V]) Contains(k K) bool {

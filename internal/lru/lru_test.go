@@ -353,6 +353,25 @@ func TestRangeSkipsInFlightAndFailed(t *testing.T) {
 	}
 }
 
+func TestRemove(t *testing.T) {
+	c := newTestCache(8)
+	c.Put(testKey{name: "a"}, 0, 1)
+	c.Put(testKey{name: "b"}, 0, 2)
+	if !c.Remove(testKey{name: "a"}) {
+		t.Error("Remove of a resident key reported false")
+	}
+	if c.Remove(testKey{name: "a"}) || c.Remove(testKey{name: "absent"}) {
+		t.Error("Remove of a missing key reported true")
+	}
+	if c.Contains(testKey{name: "a"}) || !c.Contains(testKey{name: "b"}) || c.Len() != 1 {
+		t.Errorf("after Remove: a resident %v, b resident %v, len %d", c.Contains(testKey{name: "a"}), c.Contains(testKey{name: "b"}), c.Len())
+	}
+	// The key computes afresh after removal.
+	if v, ran, err := c.GetOrCompute(testKey{name: "a"}, 0, value(3)); err != nil || !ran || v != 3 {
+		t.Errorf("GetOrCompute after Remove = %d, ran %v, err %v; want 3, true, nil", v, ran, err)
+	}
+}
+
 func TestGetZeroAllocs(t *testing.T) {
 	c := New[testKey, *int](256, hashTestKey, func(*int) bool { return false })
 	v := 1

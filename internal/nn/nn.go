@@ -12,12 +12,14 @@
 // 65%, DecodeLinear0 1.3%, and so on).
 package nn
 
-import "fmt"
+import "strconv"
 
 // ceilDiv returns ceil(a/b) for positive integers.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// blockName tags a layer inside stage s, block b.
+// blockName tags a layer inside stage s, block b: "prefix.sS.bB.leaf".
+// It runs once per layer of every block, so it concatenates rather than
+// going through fmt.
 func blockName(prefix string, s, b int, leaf string) string {
-	return fmt.Sprintf("%s.s%d.b%d.%s", prefix, s, b, leaf)
+	return prefix + ".s" + strconv.Itoa(s) + ".b" + strconv.Itoa(b) + "." + leaf
 }

@@ -3,10 +3,20 @@
 // critical decoder layers in pretrained SegFormer and Swin models, with
 // skipped computation propagated backwards through the decoder exactly as
 // the paper describes (Section V-A).
+//
+// A path is built in two steps. The base (NewSegFormerBase, NewSwinBase)
+// is the nn graph for the path's encoder depths; Derive clones a base and
+// patches the decoder layers whose channels the path prunes. A sweep has
+// many paths per depth set (1032 SegFormer paths at step 64 share 8 depth
+// sets), so its callers build each base once and derive every path of the
+// group from it. A base is never mutated, so concurrent derivations may
+// share it. ApplySegFormer and ApplySwin are the two steps composed, for
+// one-off paths.
 package prune
 
 import (
 	"fmt"
+	"strconv"
 
 	"vitdyn/internal/graph"
 	"vitdyn/internal/nn"
@@ -42,10 +52,8 @@ func FullSegFormerPath(cfg nn.SegFormerConfig) SegFormerPath {
 
 // Validate checks the path against its base configuration.
 func (p SegFormerPath) Validate(cfg nn.SegFormerConfig) error {
-	for s := 0; s < 4; s++ {
-		if p.EncoderBlocks[s] < 1 || p.EncoderBlocks[s] > cfg.Depths[s] {
-			return fmt.Errorf("prune: stage %d blocks %d out of range 1..%d", s, p.EncoderBlocks[s], cfg.Depths[s])
-		}
+	if err := validateSegFormerBlocks(cfg, p.EncoderBlocks); err != nil {
+		return err
 	}
 	if p.FuseInCh < 1 || p.FuseInCh > 4*cfg.DecoderDim {
 		return fmt.Errorf("prune: fuse channels %d out of range 1..%d", p.FuseInCh, 4*cfg.DecoderDim)
@@ -59,13 +67,63 @@ func (p SegFormerPath) Validate(cfg nn.SegFormerConfig) error {
 	return nil
 }
 
-// ApplySegFormer builds the pruned SegFormer graph for the path.
+// validateSegFormerBlocks checks encoder blocks kept per stage against
+// the base configuration's depths.
+func validateSegFormerBlocks(cfg nn.SegFormerConfig, blocks [4]int) error {
+	for s := 0; s < 4; s++ {
+		if blocks[s] < 1 || blocks[s] > cfg.Depths[s] {
+			return fmt.Errorf("prune: stage %d blocks %d out of range 1..%d", s, blocks[s], cfg.Depths[s])
+		}
+	}
+	return nil
+}
+
+// SegFormerBase is the graph every SegFormer path with one encoder-depth
+// set starts from: nn.SegFormer on the configuration with those depths,
+// before any decoder patch. Paths that share their encoder blocks differ
+// only in a few decoder layers, so a sweep builds one base per depth set
+// and derives each path from it with Derive. Derive works on a clone, so
+// a base is never mutated and may serve concurrent derivations.
+type SegFormerBase struct {
+	cfg    nn.SegFormerConfig
+	blocks [4]int
+	g      *graph.Graph
+}
+
+// NewSegFormerBase builds the base for paths that keep blocks encoder
+// blocks per stage.
+func NewSegFormerBase(cfg nn.SegFormerConfig, imgH, imgW int, blocks [4]int) (*SegFormerBase, error) {
+	if err := validateSegFormerBlocks(cfg, blocks); err != nil {
+		return nil, err
+	}
+	pruned := cfg
+	pruned.Depths = blocks
+	g, err := nn.SegFormer(pruned, imgH, imgW)
+	if err != nil {
+		return nil, err
+	}
+	return &SegFormerBase{cfg: cfg, blocks: blocks, g: g}, nil
+}
+
+// ApplySegFormer builds the pruned SegFormer graph for the path: a base
+// for its encoder blocks (NewSegFormerBase), then the path's decoder
+// patches (SegFormerBase.Derive).
+func ApplySegFormer(cfg nn.SegFormerConfig, imgH, imgW int, p SegFormerPath) (*graph.Graph, error) {
+	b, err := NewSegFormerBase(cfg, imgH, imgW, p.EncoderBlocks)
+	if err != nil {
+		return nil, err
+	}
+	return b.Derive(p)
+}
+
+// Derive returns the path's graph: a clone of the base with the path's
+// decoder patches applied. The path must keep the base's encoder blocks.
 //
 // Backward propagation of skipped computation follows Section V-A:
 //
 //   - Bypassed encoder blocks disappear entirely (the paper bypasses the
 //     trailing blocks of a stage; which blocks are removed does not change
-//     the cost model).
+//     the cost model). The base already omits them.
 //   - Conv2DFuse input channels are pruned from the end of the concatenated
 //     per-stage features. Which channels are removed does not matter for
 //     accuracy (the paper tested first/last/smallest), and encoder-side
@@ -75,19 +133,17 @@ func (p SegFormerPath) Validate(cfg nn.SegFormerConfig) error {
 //   - Conv2DPred input channels propagate backwards through the decoder
 //     (ReLU, BatchNorm and Conv2DFuse outputs shrink with them), since
 //     decoder layers have a single consumer.
-func ApplySegFormer(cfg nn.SegFormerConfig, imgH, imgW int, p SegFormerPath) (*graph.Graph, error) {
-	if err := p.Validate(cfg); err != nil {
+func (b *SegFormerBase) Derive(p SegFormerPath) (*graph.Graph, error) {
+	if p.EncoderBlocks != b.blocks {
+		return nil, fmt.Errorf("prune: path %q keeps blocks %v, base has %v", p.Label, p.EncoderBlocks, b.blocks)
+	}
+	if err := p.Validate(b.cfg); err != nil {
 		return nil, err
 	}
-	pruned := cfg
-	pruned.Depths = p.EncoderBlocks
-	g, err := nn.SegFormer(pruned, imgH, imgW)
-	if err != nil {
-		return nil, err
-	}
-	g.Name = fmt.Sprintf("%s[%s]", g.Name, p.Label)
+	g := b.g.Clone()
+	g.Name += "[" + p.Label + "]"
 
-	d := cfg.DecoderDim
+	d := b.cfg.DecoderDim
 
 	// --- Conv2DPred pruning propagates backwards through the decoder. ---
 	fuseOut := p.PredInCh
@@ -150,11 +206,8 @@ func FullSwinPath(cfg nn.SwinConfig) SwinPath {
 
 // Validate checks the path against its base configuration.
 func (p SwinPath) Validate(cfg nn.SwinConfig) error {
-	if p.Stage2Blocks < 1 || p.Stage2Blocks > cfg.Depths[2] {
-		return fmt.Errorf("prune: stage-2 blocks %d out of range 1..%d", p.Stage2Blocks, cfg.Depths[2])
-	}
-	if p.Stage3Blocks < 1 || p.Stage3Blocks > cfg.Depths[3] {
-		return fmt.Errorf("prune: stage-3 blocks %d out of range 1..%d", p.Stage3Blocks, cfg.Depths[3])
+	if err := validateSwinBlocks(cfg, p.Stage2Blocks, p.Stage3Blocks); err != nil {
+		return err
 	}
 	if p.FPNBottleneckCh < 1 || p.FPNBottleneckCh > 4*cfg.DecoderChannels {
 		return fmt.Errorf("prune: fpn channels %d out of range 1..%d", p.FPNBottleneckCh, 4*cfg.DecoderChannels)
@@ -162,24 +215,72 @@ func (p SwinPath) Validate(cfg nn.SwinConfig) error {
 	return nil
 }
 
-// ApplySwin builds the pruned Swin graph. Pruned fpn_bottleneck input
-// channels remove trailing slices of the concatenated FPN levels; a fully
-// removed level drops its upsample (the FPN convs still run — their outputs
-// feed the multi-scale auxiliary paths).
-func ApplySwin(cfg nn.SwinConfig, imgH, imgW int, p SwinPath) (*graph.Graph, error) {
-	if err := p.Validate(cfg); err != nil {
+// validateSwinBlocks checks the blocks kept in stages 2 and 3 against
+// the base configuration's depths.
+func validateSwinBlocks(cfg nn.SwinConfig, stage2, stage3 int) error {
+	if stage2 < 1 || stage2 > cfg.Depths[2] {
+		return fmt.Errorf("prune: stage-2 blocks %d out of range 1..%d", stage2, cfg.Depths[2])
+	}
+	if stage3 < 1 || stage3 > cfg.Depths[3] {
+		return fmt.Errorf("prune: stage-3 blocks %d out of range 1..%d", stage3, cfg.Depths[3])
+	}
+	return nil
+}
+
+// SwinBase is the graph every Swin path with one (stage-2, stage-3)
+// depth pair starts from: nn.Swin on the configuration with those
+// depths, before the fpn_bottleneck patch. Like SegFormerBase it is
+// never mutated: Derive works on a clone.
+type SwinBase struct {
+	cfg            nn.SwinConfig
+	stage2, stage3 int
+	g              *graph.Graph
+}
+
+// NewSwinBase builds the base for paths that keep stage2 and stage3
+// blocks in the two deep stages.
+func NewSwinBase(cfg nn.SwinConfig, imgH, imgW, stage2, stage3 int) (*SwinBase, error) {
+	if err := validateSwinBlocks(cfg, stage2, stage3); err != nil {
 		return nil, err
 	}
 	pruned := cfg
-	pruned.Depths[2] = p.Stage2Blocks
-	pruned.Depths[3] = p.Stage3Blocks
+	pruned.Depths[2] = stage2
+	pruned.Depths[3] = stage3
 	g, err := nn.Swin(pruned, imgH, imgW)
 	if err != nil {
 		return nil, err
 	}
-	g.Name = fmt.Sprintf("%s[%s]", g.Name, p.Label)
+	return &SwinBase{cfg: cfg, stage2: stage2, stage3: stage3, g: g}, nil
+}
 
-	ch := cfg.DecoderChannels
+// ApplySwin builds the pruned Swin graph for the path: a base for its
+// stage depths (NewSwinBase), then the fpn_bottleneck patch
+// (SwinBase.Derive).
+func ApplySwin(cfg nn.SwinConfig, imgH, imgW int, p SwinPath) (*graph.Graph, error) {
+	b, err := NewSwinBase(cfg, imgH, imgW, p.Stage2Blocks, p.Stage3Blocks)
+	if err != nil {
+		return nil, err
+	}
+	return b.Derive(p)
+}
+
+// Derive returns the path's graph: a clone of the base with the path's
+// fpn_bottleneck input channels. Pruned channels remove trailing slices
+// of the concatenated FPN levels; a fully removed level drops its
+// upsample (the FPN convs still run — their outputs feed the multi-scale
+// auxiliary paths). The path must keep the base's stage depths.
+func (b *SwinBase) Derive(p SwinPath) (*graph.Graph, error) {
+	if p.Stage2Blocks != b.stage2 || p.Stage3Blocks != b.stage3 {
+		return nil, fmt.Errorf("prune: path %q keeps stage-2/3 blocks %d/%d, base has %d/%d",
+			p.Label, p.Stage2Blocks, p.Stage3Blocks, b.stage2, b.stage3)
+	}
+	if err := p.Validate(b.cfg); err != nil {
+		return nil, err
+	}
+	g := b.g.Clone()
+	g.Name += "[" + p.Label + "]"
+
+	ch := b.cfg.DecoderChannels
 	if fpn := g.Find("dec.fpnbottleneck"); fpn != nil {
 		fpn.InC = p.FPNBottleneckCh
 	}
@@ -190,7 +291,7 @@ func ApplySwin(cfg nn.SwinConfig, imgH, imgW int, p SwinPath) (*graph.Graph, err
 	// fully pruned levels.
 	for s := 3; s >= 1; s-- {
 		if p.FPNBottleneckCh <= s*ch {
-			name := fmt.Sprintf("dec.fuse.up%d", s)
+			name := "dec.fuse.up" + strconv.Itoa(s)
 			keep := g.Layers[:0]
 			for i := range g.Layers {
 				if g.Layers[i].Name == name {

@@ -79,8 +79,10 @@ func (c *Catalog) selectThresholds() (thresholds []float64, winners []int) {
 	for i := 0; i < n; {
 		cost := c.Paths[ord[i]].Cost
 		// Paths sharing one cost become feasible together: fold the whole
-		// equal-cost group before recording a threshold.
-		for ; i < n && c.Paths[ord[i]].Cost == cost; i++ {
+		// equal-cost group before recording a threshold. The group always
+		// takes its first path, so a NaN cost (equal to nothing, itself
+		// included) forms a group of one instead of stalling the walk.
+		for j := i; i < n && (i == j || c.Paths[ord[i]].Cost == cost); i++ {
 			if winner < 0 || beats(ord[i], winner) {
 				winner = ord[i]
 			}

@@ -42,8 +42,11 @@ func TestTracePoolReuseIsInvisible(t *testing.T) {
 }
 
 // TestTracePoolCountsHitsAndMisses checks the /statsz-facing counters
-// move the right way: a recycle followed by a same-size build is a hit;
-// a build larger than anything recycled is a miss.
+// move the right way: every build counts exactly one hit or one miss; a
+// recycle followed by a same-size build is a hit that reuses the
+// recycled array, unless the pool dropped the Put (sync.Pool may, and
+// under the race detector it does so at random), in which case it is a
+// miss; a build larger than anything recycled is a miss.
 func TestTracePoolCountsHitsAndMisses(t *testing.T) {
 	drainTracePool(t)
 	h0, m0 := TracePoolStats()
@@ -55,11 +58,15 @@ func TestTracePoolCountsHitsAndMisses(t *testing.T) {
 	RecycleTrace(tr)
 	tr2 := StepTrace(64, 1, 5, 8)
 	h1, m1 := TracePoolStats()
-	if h1 != h0+1 || m1 != m0+1 {
-		t.Fatalf("recycled rebuild: stats (%d,%d), want hit %d and miss %d", h1, m1, h0+1, m0+1)
-	}
-	if &tr[:1][0] != &tr2[:1][0] {
-		t.Fatalf("recycled rebuild did not reuse the recycled backing array")
+	switch {
+	case h1 == h0+1 && m1 == m0+1:
+		if &tr[:1][0] != &tr2[:1][0] {
+			t.Fatalf("recycled rebuild counted a hit but did not reuse the recycled backing array")
+		}
+	case h1 == h0 && m1 == m0+2:
+		// The pool dropped the recycled array: the rebuild is a miss.
+	default:
+		t.Fatalf("recycled rebuild: stats (%d,%d) → (%d,%d), want exactly one more hit or one more miss", h0, m0+1, h1, m1)
 	}
 
 	RecycleTrace(tr2)

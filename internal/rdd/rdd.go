@@ -39,14 +39,18 @@ type Catalog struct {
 	Paths []Path
 }
 
-// ValidatePath checks a path's metrics: positive cost, accuracy in [0,1].
-// Both catalog constructors and the streaming pipeline apply it to every
-// candidate they admit.
+// ValidatePath checks a path's metrics: finite positive cost, accuracy
+// in [0,1]. NaN fails both checks. Both catalog constructors and the
+// streaming pipeline apply it to every candidate they admit, and Replay
+// to every path of the catalog it walks.
 func ValidatePath(p Path) error {
+	if math.IsNaN(p.Cost) || math.IsInf(p.Cost, 1) {
+		return fmt.Errorf("rdd: path %q has non-finite cost %v", p.Label, p.Cost)
+	}
 	if p.Cost <= 0 {
 		return fmt.Errorf("rdd: path %q has non-positive cost", p.Label)
 	}
-	if p.Accuracy < 0 || p.Accuracy > 1 {
+	if !(p.Accuracy >= 0 && p.Accuracy <= 1) {
 		return fmt.Errorf("rdd: path %q accuracy %v outside [0,1]", p.Label, p.Accuracy)
 	}
 	return nil

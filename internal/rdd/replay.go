@@ -51,10 +51,16 @@ func StaticPolicy(p Path) Policy { return Policy{Static: true, Pin: p} }
 // infeasible trace — even its largest budget (Trace.Max) below every
 // path, so no policy could complete a frame — is a *BudgetError rather
 // than a set of all-skipped results, exactly when SelectStrict(tr.Max())
-// fails. A catalog with no paths is an error too.
+// fails. A catalog with no paths, or with a path ValidatePath rejects
+// (a hand-assembled catalog holding a NaN cost, say), is an error too.
 func (c *Catalog) Replay(tr Trace, pols []Policy) ([]SimResult, error) {
 	if len(c.Paths) == 0 {
 		return nil, fmt.Errorf("rdd: catalog %q has no paths", c.Model)
+	}
+	for _, p := range c.Paths {
+		if err := ValidatePath(p); err != nil {
+			return nil, fmt.Errorf("rdd: catalog %q: %w", c.Model, err)
+		}
 	}
 	out := make([]SimResult, len(pols))
 	max := c.replay(tr, pols, out)

@@ -81,7 +81,9 @@ type importResponse struct {
 // handleStoreImport serves POST /v1/store/import: merge a snapshot
 // stream into the server's cost store (and its durable tier, when
 // present). Entries already resident are left untouched, so seeding is
-// idempotent and two daemons can exchange stores in either order.
+// idempotent and two daemons can exchange stores in either order. A
+// snapshot holding a non-finite or non-positive cost is rejected whole
+// (400, counted in import_errors) before anything is seeded.
 func (s *Server) handleStoreImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST a snapshot stream (see /v1/store/export) to /v1/store/import")
@@ -102,17 +104,11 @@ func (s *Server) handleStoreImport(w http.ResponseWriter, r *http.Request) {
 			staged = append(staged, e)
 			return nil
 		})
+		for i := 0; err == nil && i < len(staged); i++ {
+			err = staged[i].Validate()
+		}
 		if err == nil {
-			for _, e := range staged {
-				isNew, gerr := engine.Seed(s.opts.Store, e.Backend, e.Epoch, e.Sig, e.Vals)
-				if gerr != nil {
-					err = gerr
-					break
-				}
-				if isNew {
-					added++
-				}
-			}
+			added, err = seedAll(s.opts.Store, staged)
 		}
 	}
 	if err != nil {
@@ -130,6 +126,34 @@ func (s *Server) handleStoreImport(w http.ResponseWriter, r *http.Request) {
 	s.imports.Add(1)
 	s.importedEntries.Add(int64(added))
 	writeJSON(w, http.StatusOK, importResponse{Entries: total, Imported: added})
+}
+
+// seedStore is what an import seeds: a cost cache that can take an
+// entry back out (*Store).
+type seedStore interface {
+	engine.CostCache
+	Remove(backend string, epoch, sig uint64) bool
+}
+
+// seedAll seeds validated entries all or nothing: when a Seed fails
+// midway (it joined a concurrent computation of the same key that
+// failed), the entries this call added are removed again. It returns
+// how many entries were new.
+func seedAll(store seedStore, entries []costdb.Entry) (int, error) {
+	var added []costdb.Entry
+	for _, e := range entries {
+		isNew, err := engine.Seed(store, e.Backend, e.Epoch, e.Sig, e.Vals)
+		if err != nil {
+			for _, a := range added {
+				store.Remove(a.Backend, a.Epoch, a.Sig)
+			}
+			return 0, err
+		}
+		if isNew {
+			added = append(added, e)
+		}
+	}
+	return len(added), nil
 }
 
 // handleStoreDelta serves GET /v1/store/delta?since=<gen:seq>: every

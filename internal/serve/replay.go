@@ -210,7 +210,12 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var req ReplayRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxReplayBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad replay body: %v", err)
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad replay body: %v", err)
 		return
 	}
 	single := req.Trace != nil

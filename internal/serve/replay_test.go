@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -282,6 +283,25 @@ func TestReplayFrameLimit(t *testing.T) {
 	}
 	if got := srv.sweeps.Load(); got != 0 {
 		t.Errorf("oversized requests paid for %d sweeps, want 0", got)
+	}
+}
+
+// TestReplayBodyLimit: a body past the replay byte ceiling answers 413,
+// as /v1/batch and /v1/store/import do, before any sweep runs.
+func TestReplayBodyLimit(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	huge := `{"catalog":{"family":"ofa","backend":"flops"},"trace":{"kind":"` + strings.Repeat("x", maxReplayBodyBytes) + `"}}`
+	resp, err := http.Post(ts.URL+"/v1/replay", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize replay body status %d, want 413; body %s", resp.StatusCode, body)
+	}
+	if got := srv.sweeps.Load(); got != 0 {
+		t.Errorf("oversize replay paid for %d sweeps, want 0", got)
 	}
 }
 
